@@ -26,24 +26,21 @@
  *   through a DSA engine (functional + timing model together).
  *
  * Usage:
- *   bench_datapath [--json=PATH] [--check=PATH [--tol=0.2]]
+ *   bench_datapath [--json=PATH] [--check=PATH]
  *
  * --json writes the metrics as a JSON object. --check loads a
- * previously committed JSON and exits nonzero if any metric fell
- * more than --tol (default 20%) below it — the CI regression gate.
+ * previously committed JSON and exits nonzero if any gated metric
+ * fell more than 20% below it — the CI regression gate
+ * (bench/gate.hh).
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/gate.hh"
 #include "sim/random.hh"
 
 namespace dsasim::bench
@@ -230,92 +227,27 @@ measure()
     return m;
 }
 
-void
-emit(std::FILE *f, const Metrics &m)
+/** Host floors; write_64, write_1m and copy_64 are reported only. */
+gate::Table
+table(const Metrics &m)
 {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"datapath\",\n"
-                 "  \"read_64_gbps\": %.3f,\n"
-                 "  \"read_4k_gbps\": %.3f,\n"
-                 "  \"read_1m_gbps\": %.3f,\n"
-                 "  \"write_64_gbps\": %.3f,\n"
-                 "  \"write_4k_gbps\": %.3f,\n"
-                 "  \"write_1m_gbps\": %.3f,\n"
-                 "  \"copy_64_gbps\": %.3f,\n"
-                 "  \"copy_4k_gbps\": %.3f,\n"
-                 "  \"copy_1m_gbps\": %.3f,\n"
-                 "  \"fill_1m_gbps\": %.3f,\n"
-                 "  \"read_2m_page_gbps\": %.3f,\n"
-                 "  \"composite_gbps\": %.3f,\n"
-                 "  \"bulk_gbps\": %.3f,\n"
-                 "  \"engine_gbps\": %.3f,\n"
-                 "  \"engine_desc_per_sec\": %.0f\n"
-                 "}\n",
-                 m.read64, m.read4k, m.read1m, m.write64, m.write4k,
-                 m.write1m, m.copy64, m.copy4k, m.copy1m, m.fill1m,
-                 m.read2mPage, m.composite, m.bulk, m.engineGbps,
-                 m.engineDescPerSec);
-}
-
-/** Pull `"key": <number>` out of a JSON blob (flat, known keys). */
-bool
-jsonNumber(const std::string &text, const std::string &key,
-           double &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + at + 1, nullptr);
-    return true;
-}
-
-int
-check(const Metrics &m, const std::string &path, double tol)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_datapath: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    struct Item
-    {
-        const char *key;
-        double cur;
-    } items[] = {
-        {"composite_gbps", m.composite},
-        {"bulk_gbps", m.bulk},
-        {"read_64_gbps", m.read64},
-        {"read_4k_gbps", m.read4k},
-        {"read_1m_gbps", m.read1m},
-        {"write_4k_gbps", m.write4k},
-        {"copy_4k_gbps", m.copy4k},
-        {"copy_1m_gbps", m.copy1m},
-        {"fill_1m_gbps", m.fill1m},
-        {"read_2m_page_gbps", m.read2mPage},
-        {"engine_gbps", m.engineGbps},
-        {"engine_desc_per_sec", m.engineDescPerSec},
-    };
-    int failures = 0;
-    for (const Item &it : items) {
-        double want = 0;
-        if (!jsonNumber(text, it.key, want) || want <= 0)
-            continue;
-        double floor = want * (1.0 - tol);
-        const bool ok = it.cur >= floor;
-        std::printf("%-22s %10.3f  committed %10.3f  %s\n", it.key,
-                    it.cur, want, ok ? "ok" : "REGRESSED");
-        failures += ok ? 0 : 1;
-    }
-    return failures ? 1 : 0;
+    gate::Table t("datapath");
+    t.floor("read_64_gbps", m.read64, 3)
+        .floor("read_4k_gbps", m.read4k, 3)
+        .floor("read_1m_gbps", m.read1m, 3)
+        .report("write_64_gbps", m.write64, 3)
+        .floor("write_4k_gbps", m.write4k, 3)
+        .report("write_1m_gbps", m.write1m, 3)
+        .report("copy_64_gbps", m.copy64, 3)
+        .floor("copy_4k_gbps", m.copy4k, 3)
+        .floor("copy_1m_gbps", m.copy1m, 3)
+        .floor("fill_1m_gbps", m.fill1m, 3)
+        .floor("read_2m_page_gbps", m.read2mPage, 3)
+        .floor("composite_gbps", m.composite, 3)
+        .floor("bulk_gbps", m.bulk, 3)
+        .floor("engine_gbps", m.engineGbps, 3)
+        .floor("engine_desc_per_sec", m.engineDescPerSec, 0);
+    return t;
 }
 
 } // namespace
@@ -325,30 +257,8 @@ int
 main(int argc, char **argv)
 {
     using namespace dsasim::bench;
-    std::string json_path, check_path;
-    double tol = 0.20;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
-        else if (a.rfind("--check=", 0) == 0)
-            check_path = a.substr(8);
-        else if (a.rfind("--tol=", 0) == 0)
-            tol = std::strtod(a.c_str() + 6, nullptr);
-    }
-
-    Metrics m = measure();
-    emit(stdout, m);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_datapath: fopen");
-            return 2;
-        }
-        emit(f, m);
-        std::fclose(f);
-    }
-    if (!check_path.empty())
-        return check(m, check_path, tol);
-    return 0;
+    gate::Args args;
+    for (int i = 1; i < argc; ++i)
+        args.parse(argv[i]);
+    return gate::finish(table(measure()), args, 0.20);
 }

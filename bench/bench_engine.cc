@@ -31,23 +31,19 @@
  * for accidental timing changes.
  *
  * Usage:
- *   bench_engine [--json=PATH] [--check=PATH [--tol=0.2]]
+ *   bench_engine [--json=PATH] [--check=PATH]
  *
  * --json writes the metrics as a JSON object. --check loads a
  * previously committed JSON and exits nonzero if any throughput
- * metric fell more than --tol (default 20%) below it or the stream
- * hash differs — the CI regression gate.
+ * metric fell more than 20% below it or the stream hash differs —
+ * the CI regression gate (bench/gate.hh).
  */
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/gate.hh"
 
 namespace dsasim::bench
 {
@@ -221,112 +217,24 @@ measure()
     return m;
 }
 
-void
-emit(std::FILE *f, const Metrics &m)
+/**
+ * Throughput rows are host floors; the stream hash is exact: any
+ * drift means the timing walk's event stream changed, which a
+ * performance-only change must never do.
+ */
+gate::Table
+table(const Metrics &m)
 {
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"engine\",\n"
-                 "  \"memmove_1m_gbps\": %.3f,\n"
-                 "  \"memmove_1m_nocc_gbps\": %.3f,\n"
-                 "  \"memmove_1m_warm_gbps\": %.3f,\n"
-                 "  \"fill_1m_gbps\": %.3f,\n"
-                 "  \"crc_1m_gbps\": %.3f,\n"
-                 "  \"engine_desc_per_sec\": %.0f,\n"
-                 "  \"engine_gbps\": %.3f,\n"
-                 "  \"stream_hash\": \"%016llx\"\n"
-                 "}\n",
-                 m.memmove1m, m.memmove1mNocc, m.memmove1mWarm,
-                 m.fill1m, m.crc1m, m.descPerSec, m.memmove1m,
-                 static_cast<unsigned long long>(m.streamHash));
-}
-
-/** Pull `"key": <number>` out of a JSON blob (flat, known keys). */
-bool
-jsonNumber(const std::string &text, const std::string &key,
-           double &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + at + 1, nullptr);
-    return true;
-}
-
-/** Pull `"key": "value"` out of a JSON blob (flat, known keys). */
-bool
-jsonString(const std::string &text, const std::string &key,
-           std::string &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    auto open = text.find('"', at);
-    if (open == std::string::npos)
-        return false;
-    auto close = text.find('"', open + 1);
-    if (close == std::string::npos)
-        return false;
-    out = text.substr(open + 1, close - open - 1);
-    return true;
-}
-
-int
-check(const Metrics &m, const std::string &path, double tol)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_engine: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-
-    struct Item
-    {
-        const char *key;
-        double cur;
-    } items[] = {
-        {"engine_gbps", m.memmove1m},
-        {"engine_desc_per_sec", m.descPerSec},
-        {"memmove_1m_gbps", m.memmove1m},
-        {"memmove_1m_nocc_gbps", m.memmove1mNocc},
-        {"memmove_1m_warm_gbps", m.memmove1mWarm},
-        {"fill_1m_gbps", m.fill1m},
-        {"crc_1m_gbps", m.crc1m},
-    };
-    int failures = 0;
-    for (const Item &it : items) {
-        double want = 0;
-        if (!jsonNumber(text, it.key, want) || want <= 0)
-            continue;
-        double floor = want * (1.0 - tol);
-        const bool ok = it.cur >= floor;
-        std::printf("%-22s %12.3f  committed %12.3f  %s\n", it.key,
-                    it.cur, want, ok ? "ok" : "REGRESSED");
-        failures += ok ? 0 : 1;
-    }
-    // The fingerprint is exact: any drift means the timing walk's
-    // event stream changed, which a perf-only PR must never do.
-    std::string want_hash;
-    if (jsonString(text, "stream_hash", want_hash)) {
-        char cur[32];
-        std::snprintf(cur, sizeof(cur), "%016llx",
-                      static_cast<unsigned long long>(m.streamHash));
-        const bool ok = want_hash == cur;
-        std::printf("%-22s %16s  committed %16s  %s\n", "stream_hash",
-                    cur, want_hash.c_str(), ok ? "ok" : "MISMATCH");
-        failures += ok ? 0 : 1;
-    }
-    return failures ? 1 : 0;
+    gate::Table t("engine");
+    t.floor("memmove_1m_gbps", m.memmove1m, 3)
+        .floor("memmove_1m_nocc_gbps", m.memmove1mNocc, 3)
+        .floor("memmove_1m_warm_gbps", m.memmove1mWarm, 3)
+        .floor("fill_1m_gbps", m.fill1m, 3)
+        .floor("crc_1m_gbps", m.crc1m, 3)
+        .floor("engine_desc_per_sec", m.descPerSec, 0)
+        .floor("engine_gbps", m.memmove1m, 3)
+        .exactHash("stream_hash", m.streamHash);
+    return t;
 }
 
 } // namespace
@@ -336,30 +244,8 @@ int
 main(int argc, char **argv)
 {
     using namespace dsasim::bench;
-    std::string json_path, check_path;
-    double tol = 0.20;
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
-        else if (a.rfind("--check=", 0) == 0)
-            check_path = a.substr(8);
-        else if (a.rfind("--tol=", 0) == 0)
-            tol = std::strtod(a.c_str() + 6, nullptr);
-    }
-
-    Metrics m = measure();
-    emit(stdout, m);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_engine: fopen");
-            return 2;
-        }
-        emit(f, m);
-        std::fclose(f);
-    }
-    if (!check_path.empty())
-        return check(m, check_path, tol);
-    return 0;
+    gate::Args args;
+    for (int i = 1; i < argc; ++i)
+        args.parse(argv[i]);
+    return gate::finish(table(measure()), args, 0.20);
 }

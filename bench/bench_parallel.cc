@@ -23,11 +23,11 @@
  *
  * Usage:
  *   bench_parallel [--n=DESC] [--trials=3] [--json=PATH]
- *                  [--check=PATH [--tol=0.2]]
+ *                  [--check=PATH]
  *
  * --check loads a committed JSON and fails if (a) the simulated
- * fingerprint (events, end_us, stream_hash) differs at all, (b) the
- * serial event rate fell more than --tol below the committed value,
+ * fingerprint (events, stream_hash) differs at all, (b) the serial
+ * event rate fell more than 20% below the committed value,
  * or (c) — only on hosts with >= 4 hardware threads, since speedup
  * on fewer cores measures the scheduler, not the simulator —
  * speedup_4 is below 2.5x.
@@ -37,12 +37,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/gate.hh"
 #include "driver/cluster.hh"
 #include "sim/random.hh"
 
@@ -252,137 +251,37 @@ measure(const Params &p)
     return m;
 }
 
-void
-emit(std::FILE *f, const Metrics &m)
+/**
+ * events and stream_hash are exact on any host, the serial rate is a
+ * host floor, and the parallel payoff is gated only with the cores to
+ * show it: speedup on fewer cores measures the scheduler, not the
+ * simulator.
+ */
+gate::Table
+table(const Metrics &m)
 {
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"benchmark\": \"parallel\",\n"
-        "  \"sockets\": 4,\n"
-        "  \"hw_threads\": %u,\n"
-        "  \"events\": %llu,\n"
-        "  \"end_us\": %.3f,\n"
-        "  \"stream_hash\": \"%016llx\",\n"
-        "  \"epochs\": %llu,\n"
-        "  \"serial_events_per_sec\": %.0f,\n"
-        "  \"t2_events_per_sec\": %.0f,\n"
-        "  \"t4_events_per_sec\": %.0f,\n"
-        "  \"speedup_2\": %.3f,\n"
-        "  \"speedup_4\": %.3f,\n"
-        "  \"note\": \"speedups are self-relative wall-clock and "
-        "only meaningful when hw_threads >= 4; events/end_us/"
-        "stream_hash are simulated quantities, identical on every "
-        "host and thread count\"\n"
-        "}\n",
-        m.hwThreads, static_cast<unsigned long long>(m.events),
-        toUs(m.endTick),
-        static_cast<unsigned long long>(m.streamHash),
-        static_cast<unsigned long long>(m.epochs), m.rate1, m.rate2,
-        m.rate4, m.speedup2, m.speedup4);
-}
-
-/** Pull `"key": <number>` out of a JSON blob (flat, known keys). */
-bool
-jsonNumber(const std::string &text, const std::string &key,
-           double &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    out = std::strtod(text.c_str() + at + 1, nullptr);
-    return true;
-}
-
-/** Pull `"key": "value"` out of a JSON blob (flat, known keys). */
-bool
-jsonString(const std::string &text, const std::string &key,
-           std::string &out)
-{
-    auto at = text.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = text.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    auto q1 = text.find('"', at + 1);
-    if (q1 == std::string::npos)
-        return false;
-    auto q2 = text.find('"', q1 + 1);
-    if (q2 == std::string::npos)
-        return false;
-    out = text.substr(q1 + 1, q2 - q1 - 1);
-    return true;
-}
-
-int
-check(const Metrics &m, const std::string &path, double tol)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "bench_parallel: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    int failures = 0;
-
-    // Simulated fingerprint: exact equality, any host.
-    {
-        char hash[32];
-        std::snprintf(hash, sizeof(hash), "%016llx",
-                      static_cast<unsigned long long>(m.streamHash));
-        std::string want;
-        if (jsonString(text, "stream_hash", want)) {
-            const bool ok = want == hash;
-            std::printf("%-22s %16s  committed %16s  %s\n",
-                        "stream_hash", hash, want.c_str(),
-                        ok ? "ok" : "DIVERGED");
-            failures += ok ? 0 : 1;
-        }
-        double want_events = 0;
-        if (jsonNumber(text, "events", want_events)) {
-            const bool ok = static_cast<double>(m.events) ==
-                            want_events;
-            std::printf("%-22s %16llu  committed %16.0f  %s\n",
-                        "events",
-                        static_cast<unsigned long long>(m.events),
-                        want_events, ok ? "ok" : "DIVERGED");
-            failures += ok ? 0 : 1;
-        }
-    }
-
-    // Host throughput: committed-value regression gate.
-    double want_rate = 0;
-    if (jsonNumber(text, "serial_events_per_sec", want_rate) &&
-        want_rate > 0) {
-        const double floor = want_rate * (1.0 - tol);
-        const bool ok = m.rate1 >= floor;
-        std::printf("%-22s %16.0f  committed %16.0f  %s\n",
-                    "serial_events_per_sec", m.rate1, want_rate,
-                    ok ? "ok" : "REGRESSED");
-        failures += ok ? 0 : 1;
-    }
-
-    // Parallel payoff: only meaningful with the cores to show it.
-    if (m.hwThreads >= 4) {
-        const double wantSpeedup = 2.5;
-        const bool ok = m.speedup4 >= wantSpeedup;
-        std::printf("%-22s %16.3f  required  %16.3f  %s\n",
-                    "speedup_4", m.speedup4, wantSpeedup,
-                    ok ? "ok" : "TOO SLOW");
-        failures += ok ? 0 : 1;
-    } else {
-        std::printf("speedup_4              %16.3f  (not gated: "
-                    "host has %u hardware thread(s))\n",
-                    m.speedup4, m.hwThreads);
-    }
-    return failures ? 1 : 0;
+    gate::Table t("parallel");
+    t.report("sockets", 4, 0)
+        .report("hw_threads", m.hwThreads, 0)
+        .exact("events", m.events)
+        .report("end_us", toUs(m.endTick), 3)
+        .exactHash("stream_hash", m.streamHash)
+        .report("epochs", m.epochs, 0)
+        .floor("serial_events_per_sec", m.rate1, 0)
+        .report("t2_events_per_sec", m.rate2, 0)
+        .report("t4_events_per_sec", m.rate4, 0)
+        .report("speedup_2", m.speedup2, 3)
+        .minimum("speedup_4", m.speedup4, 3, 2.5,
+                 m.hwThreads >= 4
+                     ? std::string()
+                     : "host has " + std::to_string(m.hwThreads) +
+                           " hardware thread(s)")
+        .text("note", "speedups are self-relative wall-clock and "
+                      "only meaningful when hw_threads >= 4; "
+                      "events/end_us/stream_hash are simulated "
+                      "quantities, identical on every host and "
+                      "thread count");
+    return t;
 }
 
 } // namespace
@@ -393,17 +292,12 @@ main(int argc, char **argv)
 {
     using namespace dsasim::bench;
     Params p;
-    std::string json_path, check_path;
-    double tol = 0.20;
+    gate::Args args;
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
-        if (a.rfind("--json=", 0) == 0)
-            json_path = a.substr(7);
-        else if (a.rfind("--check=", 0) == 0)
-            check_path = a.substr(8);
-        else if (a.rfind("--tol=", 0) == 0)
-            tol = std::strtod(a.c_str() + 6, nullptr);
-        else if (a.rfind("--n=", 0) == 0)
+        if (args.parse(a))
+            continue;
+        if (a.rfind("--n=", 0) == 0)
             p.descriptors =
                 static_cast<int>(std::strtol(a.c_str() + 4,
                                              nullptr, 0));
@@ -415,23 +309,9 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "usage: bench_parallel [--n=DESC] "
                          "[--trials=T] [--json=PATH] "
-                         "[--check=PATH [--tol=F]]\n");
+                         "[--check=PATH]\n");
             return 2;
         }
     }
-
-    Metrics m = measure(p);
-    emit(stdout, m);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_parallel: fopen");
-            return 2;
-        }
-        emit(f, m);
-        std::fclose(f);
-    }
-    if (!check_path.empty())
-        return check(m, check_path, tol);
-    return 0;
+    return gate::finish(table(measure(p)), args, 0.20);
 }

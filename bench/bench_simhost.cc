@@ -21,6 +21,7 @@
 #include <string_view>
 
 #include "bench/common.hh"
+#include "bench/gate.hh"
 #include "sim/random.hh"
 #include "ops/crc32.hh"
 #include "ops/delta.hh"
@@ -234,26 +235,15 @@ kernelSelfBench(const char *path)
     const double legacy_rate =
         static_cast<double>(legacy.events) / legacy.seconds;
 
-    std::FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", path);
+    dsasim::bench::gate::Table t("simhost_kernel");
+    t.report("events", cur.events, 0)
+        .report("final_tick", cur.finalTick, 0)
+        .literal("replay_consistent", consistent ? "true" : "false")
+        .report("events_per_sec", cur_rate, 0)
+        .report("legacy_events_per_sec", legacy_rate, 0)
+        .report("speedup", cur_rate / legacy_rate, 3);
+    if (!dsasim::bench::gate::write(t, path))
         return 1;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"benchmark\": \"simhost_kernel\",\n"
-                 "  \"events\": %llu,\n"
-                 "  \"final_tick\": %llu,\n"
-                 "  \"replay_consistent\": %s,\n"
-                 "  \"events_per_sec\": %.0f,\n"
-                 "  \"legacy_events_per_sec\": %.0f,\n"
-                 "  \"speedup\": %.3f\n"
-                 "}\n",
-                 static_cast<unsigned long long>(cur.events),
-                 static_cast<unsigned long long>(cur.finalTick),
-                 consistent ? "true" : "false",
-                 cur_rate, legacy_rate, cur_rate / legacy_rate);
-    std::fclose(f);
     std::printf("kernel: %.2fM events/s  legacy: %.2fM events/s  "
                 "speedup: %.2fx  (%s -> %s)\n",
                 cur_rate / 1e6, legacy_rate / 1e6,

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/common.hh"
+#include "bench/gate.hh"
 
 namespace dsasim::bench
 {
@@ -122,24 +123,13 @@ main(int argc, char **argv)
                 cold_secs, depths.size(), snap_secs, depths.size(),
                 speedup);
 
-    const char *json_fmt = "{\n"
-                           "  \"benchmark\": \"snapshot\",\n"
-                           "  \"points\": %zu,\n"
-                           "  \"cold_secs\": %.3f,\n"
-                           "  \"snapshot_secs\": %.3f,\n"
-                           "  \"speedup\": %.2f\n"
-                           "}\n";
-    std::printf(json_fmt, depths.size(), cold_secs, snap_secs,
-                speedup);
-    if (!json_path.empty()) {
-        std::FILE *f = std::fopen(json_path.c_str(), "w");
-        if (!f) {
-            std::perror("bench_snapshot: fopen");
-            return 2;
-        }
-        std::fprintf(f, json_fmt, depths.size(), cold_secs,
-                     snap_secs, speedup);
-        std::fclose(f);
-    }
+    gate::Table t("snapshot");
+    t.report("points", depths.size(), 0)
+        .report("cold_secs", cold_secs, 3)
+        .report("snapshot_secs", snap_secs, 3)
+        .report("speedup", speedup, 2);
+    t.emit(stdout);
+    if (!json_path.empty() && !gate::write(t, json_path))
+        return 2;
     return 0;
 }

@@ -257,8 +257,8 @@ class Rig
     {
         std::vector<DsaDevice *> devs;
         for (unsigned i = 0; i < o.devices; ++i) {
-            Platform::configureBasic(plat.dsa(i), o.wqSize, o.engines,
-                                     o.wqMode);
+            DsaTopology::basic(o.wqSize, o.engines, o.wqMode)
+                .apply(plat.dsa(i));
             devs.push_back(&plat.dsa(i));
         }
         dml::ExecutorConfig ec;
@@ -309,8 +309,8 @@ inline Rig::Rig(const RigSnapshot &snap)
 {
     std::vector<DsaDevice *> devs;
     for (unsigned i = 0; i < opt.devices; ++i) {
-        Platform::configureBasic(plat.dsa(i), opt.wqSize, opt.engines,
-                                 opt.wqMode);
+        DsaTopology::basic(opt.wqSize, opt.engines, opt.wqMode)
+            .apply(plat.dsa(i));
         devs.push_back(&plat.dsa(i));
     }
     // restoreInto re-anchors the simulation clock/sequence and

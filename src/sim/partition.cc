@@ -1,7 +1,7 @@
 #include "sim/partition.hh"
 
 #include <algorithm>
-#include <barrier>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 
@@ -135,23 +135,70 @@ PartitionSet::runSerial()
     }
 }
 
+namespace
+{
+
+/**
+ * Generation barrier for the epoch runner. An epoch carries only a
+ * few hundred events, so parking threads in the kernel at every
+ * barrier (as std::barrier does) costs more than the work between
+ * barriers. Waiters spin for about an epoch's load imbalance, then
+ * yield. They never sleep: a sleeping waiter lets its vCPU halt, and
+ * on a busy VM host waking it again costs more than an epoch. The
+ * last thread to arrive runs the completion step while every other
+ * thread waits, then opens the next generation. The acq_rel arrival
+ * count and the release/acquire generation word order each thread's
+ * phase work before the completion, and the completion before
+ * everyone's next phase.
+ */
+class EpochBarrier
+{
+  public:
+    explicit EpochBarrier(unsigned threads) : count(threads) {}
+
+    template <typename Completion>
+    void
+    arriveAndWait(Completion &&completion)
+    {
+        const unsigned gen =
+            generation.load(std::memory_order_acquire);
+        if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            count) {
+            completion();
+            arrived.store(0, std::memory_order_relaxed);
+            generation.store(gen + 1, std::memory_order_release);
+            return;
+        }
+        for (unsigned spins = 0;
+             generation.load(std::memory_order_acquire) == gen;) {
+            if (spins < kSpins)
+                ++spins;
+            else
+                std::this_thread::yield();
+        }
+    }
+
+  private:
+    static constexpr unsigned kSpins = 1u << 18;
+
+    const unsigned count;
+    std::atomic<unsigned> arrived{0};
+    std::atomic<unsigned> generation{0};
+};
+
+} // namespace
+
 void
 PartitionSet::runThreaded(unsigned threads)
 {
-    // Two barriers per epoch. The delivery barrier's completion step
-    // runs the min-reduction on one thread while everyone is parked,
+    // Two barriers per epoch. The bound barrier's completion step
+    // runs the min-reduction on one thread while everyone waits,
     // which both publishes the horizon and keeps the reduction out of
-    // racy territory; the execute barrier separates event execution
+    // racy territory; the deliver barrier separates event execution
     // from the next delivery phase, so a channel is never drained
     // while its producer is still running.
-    std::barrier<void (*)() noexcept> deliver_barrier(
-        threads, +[]() noexcept {});
-    struct Reduce
-    {
-        PartitionSet *set;
-        void operator()() noexcept { set->computeEpoch(); }
-    };
-    std::barrier<Reduce> bound_barrier(threads, Reduce{this});
+    EpochBarrier bound_barrier(threads);
+    EpochBarrier deliver_barrier(threads);
 
     const unsigned n = domainCount();
     auto worker = [&](unsigned tid) {
@@ -159,12 +206,12 @@ PartitionSet::runThreaded(unsigned threads)
         for (;;) {
             for (unsigned d = tid; d < n; d += threads)
                 deliverAndBound(d, scratch);
-            bound_barrier.arrive_and_wait();
+            bound_barrier.arriveAndWait([this] { computeEpoch(); });
             if (!running)
                 return;
             for (unsigned d = tid; d < n; d += threads)
                 domains[d].sim->runWithin(epochEnd - 1);
-            deliver_barrier.arrive_and_wait();
+            deliver_barrier.arriveAndWait([] {});
         }
     };
 

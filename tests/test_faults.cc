@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "dto/dto.hh"
@@ -39,7 +40,7 @@ struct FaultBench : Bench
     explicit FaultBench(WorkQueue::Mode mode = WorkQueue::Mode::Dedicated,
                         unsigned wq_size = 32, unsigned engines = 2)
     {
-        Platform::configureBasic(plat.dsa(0), wq_size, engines, mode);
+        DsaTopology::basic(wq_size, engines, mode).apply(plat.dsa(0));
     }
 
     void
@@ -103,6 +104,15 @@ struct BoundaryCase
     const char *name;
     Opcode op;
 };
+
+// Print the case by name. Without this, gtest prints the raw object
+// bytes, which include the address-randomised `name` pointer, so the
+// listed test names would change from one run to the next.
+void
+PrintTo(const BoundaryCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class PageBoundary : public ::testing::TestWithParam<BoundaryCase>
 {

@@ -22,24 +22,9 @@ run() {
 echo "== Release build + tests =="
 run build-release -DCMAKE_BUILD_TYPE=Release
 
-echo "== Static analysis: simlint (cold + warm cache) =="
-lint_cache="$root/build-release/simlint.cache"
-rm -f "$lint_cache"
-"$root/build-release/tools/simlint" --jobs="$(nproc)" \
-    --cache="$lint_cache" \
+echo "== Static analysis: simlint =="
+"$root/build-release/tools/simlint" \
     "$root/src" "$root/bench" "$root/tools"
-# Warm run must replay from the content-hash cache.
-warm_err=$("$root/build-release/tools/simlint" --jobs="$(nproc)" \
-    --cache="$lint_cache" \
-    "$root/src" "$root/bench" "$root/tools" 2>&1 >/dev/null)
-case "$warm_err" in
-*"cache hit"*) ;;
-*)
-    echo "simlint: warm run missed the lint cache" >&2
-    echo "$warm_err" >&2
-    exit 1
-    ;;
-esac
 
 echo "== Static analysis: clang-tidy + clang-format (if present) =="
 cmake --build "$root/build-release" --target dsasim-tidy
