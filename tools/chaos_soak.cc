@@ -25,8 +25,11 @@
  * bounded-backoff policy, degradation actually engages (CPU
  * fallbacks), and a replay produces the identical event-stream hash.
  *
+ * Exits 0 on a pass and 2 on a malformed argument (--n must be a
+ * positive count); a broken invariant or replay mismatch fails it.
+ *
  * Usage: chaos_soak [--n=100000] [--seed=1] [--faults=SPEC]
- *                   [--no-replay] [--overload]
+ *                   [--overload]
  */
 
 #include <cstdio>
@@ -42,6 +45,7 @@
 #include "ops/crc32.hh"
 #include "sim/random.hh"
 #include "sim/traffic.hh"
+#include "tools/cli.hh"
 
 using namespace dsasim;
 
@@ -68,7 +72,6 @@ struct Options
     std::uint64_t seed = 1;
     std::string faults = kDefaultFaults;
     bool faultsOverridden = false;
-    bool replay = true;
     bool overload = false;
 };
 
@@ -471,21 +474,16 @@ overloadMain(const Options &opt)
         return 1;
     }
 
-    if (opt.replay) {
-        OverloadStats second = overloadSoak(opt);
-        if (second.hash != first.hash ||
-            second.endTick != first.endTick) {
-            std::fprintf(stderr,
-                         "FATAL: overload replay diverged (hash "
-                         "%016llx vs %016llx)\n",
-                         static_cast<unsigned long long>(first.hash),
-                         static_cast<unsigned long long>(
-                             second.hash));
-            return 1;
-        }
-        std::printf("replay: identical event sequence (hash "
-                    "match)\n");
+    OverloadStats second = overloadSoak(opt);
+    if (second.hash != first.hash || second.endTick != first.endTick) {
+        std::fprintf(stderr,
+                     "FATAL: overload replay diverged (hash %016llx vs "
+                     "%016llx)\n",
+                     static_cast<unsigned long long>(first.hash),
+                     static_cast<unsigned long long>(second.hash));
+        return 1;
     }
+    std::printf("replay: identical event sequence (hash match)\n");
     std::printf("chaos_soak --overload: PASS\n");
     return 0;
 }
@@ -497,29 +495,23 @@ main(int argc, char **argv)
 {
     Options opt;
     for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto val = [&](const char *key) -> const char * {
-            std::size_t klen = std::strlen(key);
-            if (a.compare(0, klen, key) == 0)
-                return a.c_str() + klen;
-            return nullptr;
-        };
-        if (const char *v1 = val("--n="))
-            opt.n = std::strtoull(v1, nullptr, 0);
-        else if (const char *v2 = val("--seed="))
-            opt.seed = std::strtoull(v2, nullptr, 0);
-        else if (const char *v3 = val("--faults=")) {
+        const std::string a = argv[i];
+        bool ok = true;
+        if (const char *v1 = cli::flagValue(a, "--n="))
+            ok = cli::parseCount(v1, opt.n);
+        else if (const char *v2 = cli::flagValue(a, "--seed="))
+            ok = cli::parseCount(v2, opt.seed, /*allow_zero=*/true);
+        else if (const char *v3 = cli::flagValue(a, "--faults=")) {
             opt.faults = v3;
             opt.faultsOverridden = true;
-        } else if (a == "--no-replay")
-            opt.replay = false;
-        else if (a == "--overload")
+        } else if (a == "--overload")
             opt.overload = true;
-        else {
-            std::fprintf(stderr,
-                         "usage: chaos_soak [--n=N] [--seed=S] "
-                         "[--faults=SPEC] [--no-replay] "
-                         "[--overload]\n");
+        else
+            ok = false;
+        if (!ok) {
+            std::fprintf(stderr, "usage: chaos_soak [--n=N] [--seed=S] "
+                                 "[--faults=SPEC] [--overload]\n"
+                                 "  N > 0\n");
             return 2;
         }
     }
@@ -555,19 +547,15 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(first.hash));
     std::printf("%s", first.injectorSummary.c_str());
 
-    if (opt.replay) {
-        RunStats second = soak(opt);
-        if (second.hash != first.hash ||
-            second.endTick != first.endTick) {
-            std::fprintf(stderr,
-                         "FATAL: replay diverged (hash %016llx vs "
-                         "%016llx)\n",
-                         static_cast<unsigned long long>(first.hash),
-                         static_cast<unsigned long long>(second.hash));
-            return 1;
-        }
-        std::printf("replay: identical event sequence (hash match)\n");
+    RunStats second = soak(opt);
+    if (second.hash != first.hash || second.endTick != first.endTick) {
+        std::fprintf(stderr,
+                     "FATAL: replay diverged (hash %016llx vs %016llx)\n",
+                     static_cast<unsigned long long>(first.hash),
+                     static_cast<unsigned long long>(second.hash));
+        return 1;
     }
+    std::printf("replay: identical event sequence (hash match)\n");
     std::printf("chaos_soak: PASS\n");
     return 0;
 }

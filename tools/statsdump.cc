@@ -18,6 +18,14 @@
  *
  * Standalone: parses the CSV only, links nothing from the simulator
  * (the export file is the interface, not the process).
+ *
+ * The in-process counterpart is pcm::Monitor::format (driver/pcm.hh),
+ * which reads a running simulation's live registry. The two lines
+ * look alike but differ in `reqs`: statsdump counts
+ * dsa<N>.descriptors_submitted, the only descriptor counter the CSV
+ * carries, while Monitor counts the engines' descriptorsProcessed,
+ * which is not a registry metric. Under load the two can differ by
+ * the descriptors still queued or in flight.
  */
 
 #include <cstdint>
