@@ -319,7 +319,7 @@ runArmChecked(const Params &p, bool qos)
     if (r1.streamHash != r4.streamHash || r1.events != r4.events ||
         r1.endTick != r4.endTick) {
         std::fprintf(stderr,
-                     "bench_serving: FAIL — DSASIM_PARTITIONS "
+                     "bench_serving: FAIL — the worker-thread count "
                      "changed the %s simulation mid-overload "
                      "(hash %016llx vs %016llx, events %llu vs "
                      "%llu)\n",
@@ -397,7 +397,7 @@ table(const Params &p, const Metrics &m)
     t.report("serial_events_per_sec", m.rate1, 0)
         .text("note",
               "all *_stream_hash/*_events/counters are simulated "
-              "quantities, bit-identical for any DSASIM_PARTITIONS "
+              "quantities, bit-identical for any worker-thread count "
               "(asserted at 1 vs 4 threads every run); "
               "latency/goodput are simulated too but gated within "
               "25% for cross-compiler slack; serial_events_per_sec "

@@ -31,7 +31,6 @@
 #include "driver/platform.hh"
 #include "driver/snapshot.hh"
 #include "driver/submitter.hh"
-#include "sim/partition.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
 
@@ -136,36 +135,19 @@ fmt(double v, int prec = 2)
 /// @}
 
 /**
- * Worker count for parallel benchmark sweeps. Each sweep point may
- * itself run its cluster on DSASIM_PARTITIONS worker threads
- * (sim/partition.hh), so the two knobs multiply: total host-thread
- * demand is jobs x partitions. Precedence (EXPERIMENTS.md):
- *
- *   - DSASIM_JOBS set to a positive integer: honored, except that
- *     with DSASIM_PARTITIONS > 1 it is clamped so jobs x partitions
- *     never exceeds the hardware concurrency — oversubscribing both
- *     knobs at once only adds scheduler noise to the wall-clock
- *     numbers the parallel benches report.
- *   - DSASIM_JOBS unset: hardware concurrency / partitions (min 1),
- *     i.e. the partition workers come out of the sweep budget.
+ * Worker count for parallel benchmark sweeps: DSASIM_JOBS when it is
+ * a positive integer, else the hardware concurrency (EXPERIMENTS.md).
  */
 inline unsigned
 sweepJobs()
 {
-    const unsigned parts = std::max(1u, partitionThreads());
-    const unsigned hw =
-        std::max(1u, std::thread::hardware_concurrency());
     if (const char *env = std::getenv("DSASIM_JOBS")) {
         char *end = nullptr;
         long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1) {
-            unsigned jobs = static_cast<unsigned>(v);
-            if (parts > 1)
-                jobs = std::max(1u, std::min(jobs, hw / parts));
-            return jobs;
-        }
+        if (end != env && *end == '\0' && v >= 1)
+            return static_cast<unsigned>(v);
     }
-    return std::max(1u, hw / parts);
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 /**

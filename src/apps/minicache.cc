@@ -14,15 +14,11 @@ MiniCache::MiniCache(Platform &p, AddressSpace &space, Dto &dto,
 MiniCache::MiniCache(Platform &p, AddressSpace &space, Dto &dto,
                      const Config &cfg, const std::string &scope)
     : plat(p), as(space), dtoLib(dto), config(cfg),
-      getOpsCtr(p.sim().stats().counter(
-          scope + "lookups", "get() calls served")),
-      getHitsCtr(p.sim().stats().counter(
-          scope + "hits", "get() calls that found the key")),
-      setOpsCtr(p.sim().stats().counter(
-          scope + "sets", "set() calls served")),
-      copiedBytesCtr(p.sim().stats().counter(
-          scope + "bytes_copied",
-          "value bytes moved through DTO by get() and set()"))
+      getOpsCtr(p.sim().stats().counter(scope + "lookups")),
+      getHitsCtr(p.sim().stats().counter(scope + "hits")),
+      setOpsCtr(p.sim().stats().counter(scope + "sets")),
+      // Value bytes moved through DTO by get() and set().
+      copiedBytesCtr(p.sim().stats().counter(scope + "bytes_copied"))
 {
     fatal_if(config.sizeClasses.empty(), "no slab size classes");
     freelists.resize(config.sizeClasses.size());

@@ -16,38 +16,33 @@ ServingNode::ServingNode(Simulation &s, Executor &e, ServingConfig c)
           const std::string scope = reg.scope("serving") + ".";
           // Ladder-event counters: supplier-backed sums over the
           // tenant sessions, so they track tenants added later.
-          reg.counter(scope + "breaker_opens",
-                      "circuit-breaker trips across all tenants",
-                      [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->breaker.opens;
-                          return n;
-                      });
-          reg.counter(scope + "sheds",
-                      "requests shed by an open breaker", [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->breaker.shed;
-                          return n;
-                      });
-          reg.counter(scope + "retries",
-                      "ENQCMD retries absorbed in backoff", [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->stats.retries;
-                          return n;
-                      });
-          reg.counter(scope + "fallbacks",
-                      "requests served on the CPU path", [this] {
-                          std::uint64_t n = 0;
-                          for (const auto &t : tenants)
-                              n += t->stats.fallbacks;
-                          return n;
-                      });
+          reg.counter(scope + "breaker_opens", [this] {
+              std::uint64_t n = 0;
+              for (const auto &t : tenants)
+                  n += t->breaker.opens;
+              return n;
+          });
+          reg.counter(scope + "sheds", [this] {
+              std::uint64_t n = 0;
+              for (const auto &t : tenants)
+                  n += t->breaker.shed;
+              return n;
+          });
+          reg.counter(scope + "retries", [this] {
+              std::uint64_t n = 0;
+              for (const auto &t : tenants)
+                  n += t->stats.retries;
+              return n;
+          });
+          reg.counter(scope + "fallbacks", [this] {
+              std::uint64_t n = 0;
+              for (const auto &t : tenants)
+                  n += t->stats.fallbacks;
+              return n;
+          });
+          // Arrival-to-done request latency.
           return reg.histogram(
               scope + "latency_us",
-              "arrival-to-done request latency in microseconds",
               {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                512.0, 1024.0, 2048.0, 4096.0, 8192.0, 16384.0});
       }())

@@ -20,7 +20,7 @@
  *
  * Backoff jitter is counter-based (sim/traffic.hh CounterRng, keyed
  * by tenant/request/attempt), so retry spreading is identical for
- * any DSASIM_PARTITIONS worker count. Per-tenant SLO accounting
+ * any worker-thread count. Per-tenant SLO accounting
  * (p50/p99/p999 latency, goodput, shed/retry/fallback counters)
  * lives in TenantStats and feeds bench/bench_serving.cc.
  */

@@ -145,18 +145,4 @@ SocketCluster::restore(const ClusterSnapshot &snap)
         port->wireLink().restoreState(snap.portWires[w++]);
 }
 
-stats::Registry
-SocketCluster::foldedStats() const
-{
-    stats::Registry combined;
-    for (unsigned s = 0; s < doms.size(); ++s) {
-        // fold() writes into the local result registry only; the
-        // source domains are read through const references.
-        // simlint:allow(observer-purity)
-        combined.fold(doms[s].sim->stats(),
-                      "socket" + std::to_string(s) + ".");
-    }
-    return combined;
-}
-
 } // namespace dsasim

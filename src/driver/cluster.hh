@@ -11,7 +11,7 @@
  * parallel DES needs (DESIGN.md §11). The decomposition is fixed by
  * `ClusterConfig::sockets`, never by the worker-thread count, so a
  * cluster's event streams (and stream hashes) are identical for any
- * DSASIM_PARTITIONS.
+ * worker-thread count.
  *
  * Snapshots compose per domain: capture() refuses with a hint naming
  * *which* domain's calendar or work queue still holds work, and a
@@ -94,10 +94,10 @@ class SocketCluster
     /** Fold (when, seq) of every executed event, per domain. */
     void enableStreamHash(bool on);
 
-    /** Run all domains to completion on @p threads workers
-     * (0 = $DSASIM_PARTITIONS). Simulated behavior is identical for
-     * any thread count. */
-    void run(unsigned threads = 0);
+    /** Run all domains to completion on @p threads workers (1 =
+     * serial). Simulated behavior is identical for any thread
+     * count. */
+    void run(unsigned threads);
 
     /** Cross-domain fingerprint (PartitionSet::combinedStreamHash). */
     std::uint64_t streamHash() const
@@ -135,15 +135,6 @@ class SocketCluster
      * captured ones did (build both from the same ClusterConfig).
      */
     void restore(const ClusterSnapshot &snap);
-
-    /**
-     * Fold every domain's telemetry registry into one combined view
-     * with "socket<d>." name prefixes, in domain-id order — the
-     * cluster-wide export is deterministic for any worker-thread
-     * count (DESIGN.md §15). Call after run() returns (the fold
-     * evaluates supplier-backed metrics, so domains must be at rest).
-     */
-    stats::Registry foldedStats() const; // simlint:observer
 
   private:
     struct SocketDomain

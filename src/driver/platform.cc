@@ -123,9 +123,10 @@ Platform::Platform(Simulation &s, const PlatformConfig &cfg)
     if (stats::samplingEnabled() && !s.hasSampleHook()) {
         static std::atomic<unsigned> instance{0};
         const unsigned n = instance.fetch_add(1);
-        statsExportStem =
+        statsCsvPath =
             stats::exportPrefix() + cfg.name +
-            (n == 0 ? std::string{} : "-" + std::to_string(n));
+            (n == 0 ? std::string{} : "-" + std::to_string(n)) +
+            ".csv";
         statsSampler = std::make_unique<stats::Sampler>(
             s, stats::samplePeriodTicks());
     }
@@ -133,10 +134,8 @@ Platform::Platform(Simulation &s, const PlatformConfig &cfg)
 
 Platform::~Platform()
 {
-    if (statsSampler && statsSampler->sampleCount() > 0) {
-        statsSampler->writeCsv(statsExportStem + ".csv");
-        statsSampler->writePrometheusFile(statsExportStem + ".prom");
-    }
+    if (statsSampler && statsSampler->sampleCount() > 0)
+        statsSampler->writeCsv(statsCsvPath);
 }
 
 bool

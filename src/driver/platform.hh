@@ -67,9 +67,9 @@ class Platform
     /**
      * When $DSASIM_STATS is set (sim/stats.hh knobs) the platform
      * installs a stats::Sampler on @p s at construction and writes
-     * the recorded series to <prefix><name>.csv plus the final
-     * snapshot to <prefix><name>.prom at destruction. Only the first
-     * platform on a simulation samples (one hook per calendar).
+     * the recorded series to <prefix><name>.csv at destruction. Only
+     * the first platform on a simulation samples (one hook per
+     * calendar).
      */
     Platform(Simulation &s, const PlatformConfig &cfg);
     ~Platform();
@@ -143,10 +143,10 @@ class Platform
     std::vector<std::unique_ptr<CbdmaDevice>> cbdmas_;
     std::unique_ptr<FaultInjector> faultInjector;
 
-    /** Export basename (disambiguated across instances) and the
+    /** CSV export path (disambiguated across instances) and the
      * deterministic-cadence registry poller; null when $DSASIM_STATS
      * is off or another platform already samples this simulation. */
-    std::string statsExportStem;
+    std::string statsCsvPath;
     std::unique_ptr<stats::Sampler> statsSampler;
 };
 

@@ -19,11 +19,10 @@ DsaDevice::DsaDevice(Simulation &s, MemSystem &ms, const DsaParams &p,
       hangReleaseTrig(std::make_unique<Trigger>(s)),
       descriptorsSubmittedCtr(s.stats().counter(
           "dsa" + std::to_string(device_id) +
-              ".descriptors_submitted",
-          "descriptors accepted into a WQ on this device")),
+              ".descriptors_submitted")),
+      // ENQCMD retries: SWQ at threshold or admission throttle.
       descriptorsRetriedCtr(s.stats().counter(
-          "dsa" + std::to_string(device_id) + ".descriptors_retried",
-          "ENQCMD retries (SWQ at threshold or admission throttle)"))
+          "dsa" + std::to_string(device_id) + ".descriptors_retried"))
 {}
 
 Group &
@@ -64,16 +63,13 @@ DsaDevice::addWorkQueue(Group &grp, WorkQueue::Mode mode, unsigned size,
     WorkQueue *q = wqs.back().get();
     const std::string prefix = "dsa" + std::to_string(id) + ".wq" +
                                std::to_string(q->id) + ".";
-    simulation.stats().gauge(
-        prefix + "depth", "descriptors currently queued",
-        [q] { return static_cast<double>(q->occupancy()); });
-    simulation.stats().counter(
-        prefix + "accepted", "descriptors accepted by this WQ",
-        [q] { return q->accepted; });
-    simulation.stats().counter(
-        prefix + "rejected",
-        "descriptors rejected or retried at this WQ's portal",
-        [q] { return q->rejected; });
+    simulation.stats().gauge(prefix + "depth", [q] {
+        return static_cast<double>(q->occupancy());
+    });
+    simulation.stats().counter(prefix + "accepted",
+                               [q] { return q->accepted; });
+    simulation.stats().counter(prefix + "rejected",
+                               [q] { return q->rejected; });
     return *wqs.back();
 }
 

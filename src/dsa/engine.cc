@@ -53,20 +53,16 @@ Engine::Engine(DsaDevice &device, Group &grp, int engine_id)
     : dev(device), group(grp), id(engine_id),
       bytesReadCtr(device.sim().stats().counter(
           strfmt("dsa%d.eng%d.bytes_read", device.deviceId(),
-                 engine_id),
-          "bytes this PE read from memory")),
+                 engine_id))),
       bytesWrittenCtr(device.sim().stats().counter(
           strfmt("dsa%d.eng%d.bytes_written", device.deviceId(),
-                 engine_id),
-          "bytes this PE wrote to memory")),
+                 engine_id))),
       pageFaultsCtr(device.sim().stats().counter(
           strfmt("dsa%d.eng%d.page_faults", device.deviceId(),
-                 engine_id),
-          "page faults taken by this PE's translations")),
+                 engine_id))),
       atcMissesCtr(device.sim().stats().counter(
           strfmt("dsa%d.eng%d.atc_misses", device.deviceId(),
-                 engine_id),
-          "device-ATC misses on this PE's translations"))
+                 engine_id)))
 {
     // PE utilization: busy time over wall simulated time. A
     // supplier-backed gauge — evaluated only when a sampler or
@@ -75,7 +71,7 @@ Engine::Engine(DsaDevice &device, Group &grp, int engine_id)
     s.stats().gauge(
         strfmt("dsa%d.eng%d.utilization", device.deviceId(),
                engine_id),
-        "fraction of simulated time this PE was busy", [this, &s] {
+        [this, &s] {
             const Tick t = s.now();
             return t == 0 ? 0.0
                           : static_cast<double>(busyTicks) /

@@ -89,15 +89,12 @@ void
 WqAdmission::registerStats(stats::Registry &reg,
                            const std::string &prefix) const
 {
-    reg.counter(prefix + "admitted",
-                "submissions passed through to the portal",
-                [this] { return totalAdmitted; });
+    // Submissions passed to the portal, bounced by a tenant token
+    // bucket, or bounced at a class occupancy limit.
+    reg.counter(prefix + "admitted", [this] { return totalAdmitted; });
     reg.counter(prefix + "throttled",
-                "submissions bounced by a tenant token bucket",
                 [this] { return totalThrottled; });
-    reg.counter(prefix + "busy",
-                "submissions bounced at a class occupancy limit",
-                [this] { return totalBusy; });
+    reg.counter(prefix + "busy", [this] { return totalBusy; });
 }
 
 const WqAdmission::TenantStats &

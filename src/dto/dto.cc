@@ -11,21 +11,19 @@ Dto::Dto(dml::Executor &exec, SwKernels &k, Config cfg)
 Dto::Dto(dml::Executor &exec, SwKernels &k, Config cfg,
          const std::string &scope)
     : executor(exec), kernels(k), config(cfg),
+      // Offloads redone on the CPU, by cause: a partial completion,
+      // a read/write/decode error, a reset/watchdog abort, WQ
+      // overflow or queue-full, anything else.
       fallbackPageFaultCtr(exec.simulation().stats().counter(
-          scope + "fallback_page_fault",
-          "offloads redone on CPU after a partial completion")),
+          scope + "fallback_page_fault")),
       fallbackHwErrorCtr(exec.simulation().stats().counter(
-          scope + "fallback_hw_error",
-          "offloads redone on CPU after a read/write/decode error")),
+          scope + "fallback_hw_error")),
       fallbackAbortedCtr(exec.simulation().stats().counter(
-          scope + "fallback_aborted",
-          "offloads redone on CPU after a reset/watchdog abort")),
+          scope + "fallback_aborted")),
       fallbackQueueCtr(exec.simulation().stats().counter(
-          scope + "fallback_queue",
-          "offloads redone on CPU after WQ overflow or queue-full")),
+          scope + "fallback_queue")),
       fallbackOtherCtr(exec.simulation().stats().counter(
-          scope + "fallback_other",
-          "offloads redone on CPU for any other cause"))
+          scope + "fallback_other"))
 {}
 
 CoTask

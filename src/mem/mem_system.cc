@@ -34,28 +34,22 @@ MemSystem::MemSystem(Simulation &s, const MemSystemConfig &cfg)
     // and IOMMU — their state stays where it checkpoints; the
     // registry only reads it at sample/export time.
     stats::Registry &reg = s.stats();
-    reg.gauge("llc.occupancy_bytes",
-              "bytes currently valid in the LLC across all owners",
-              [this] {
-                  return static_cast<double>(
-                      llc.totalOccupancyBytes());
-              });
-    reg.gauge("llc.ddio_capacity_bytes",
-              "capacity of the LLC's DDIO way partition", [this] {
-                  return static_cast<double>(llc.ddioCapacityBytes());
-              });
-    reg.counter("llc.hit_bytes", "bytes served from the LLC",
-                [this] { return llc.hitBytesTotal(); });
-    reg.counter("llc.miss_bytes", "bytes that missed the LLC",
+    reg.gauge("llc.occupancy_bytes", [this] {
+        return static_cast<double>(llc.totalOccupancyBytes());
+    });
+    reg.gauge("llc.ddio_capacity_bytes", [this] {
+        return static_cast<double>(llc.ddioCapacityBytes());
+    });
+    reg.counter("llc.hit_bytes", [this] { return llc.hitBytesTotal(); });
+    reg.counter("llc.miss_bytes",
                 [this] { return llc.missBytesTotal(); });
+    // Dirty-victim bytes written back to memory.
     reg.counter("llc.writeback_bytes",
-                "dirty-victim bytes written back to memory",
                 [this] { return llc.writebackBytesTotal(); });
     reg.counter("iommu.translations",
-                "device-side IOMMU translation requests",
                 [this] { return iommuUnit.translations; });
+    // Page faults forced by the fault injector.
     reg.counter("iommu.injected_faults",
-                "page faults forced by the fault injector",
                 [this] { return iommuUnit.injectedFaults; });
 }
 

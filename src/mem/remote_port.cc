@@ -21,15 +21,9 @@ RemotePort::RemotePort(Simulation &src_sim,
     // Telemetry: UPI link traffic as supplier-backed counters under
     // the port's own name (e.g. upi.s0-s1.bytes_pushed).
     stats::Registry &reg = src_sim.stats();
-    reg.counter(name + ".bytes_pushed",
-                "bytes pushed to the remote socket over this port",
-                [this] { return pushed; });
-    reg.counter(name + ".bytes_pulled",
-                "bytes pulled from the remote socket over this port",
-                [this] { return pulled; });
-    reg.counter(name + ".round_trips",
-                "request/ack round trips over this port",
-                [this] { return trips; });
+    reg.counter(name + ".bytes_pushed", [this] { return pushed; });
+    reg.counter(name + ".bytes_pulled", [this] { return pulled; });
+    reg.counter(name + ".round_trips", [this] { return trips; });
 }
 
 void

@@ -2,24 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 namespace dsasim
 {
-
-unsigned
-partitionThreads()
-{
-    const char *env = std::getenv("DSASIM_PARTITIONS");
-    if (!env)
-        return 1;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1)
-        return 1;
-    return v > 256 ? 256u : static_cast<unsigned>(v);
-}
 
 unsigned
 PartitionSet::addDomain(Simulation &sim, std::string name)
@@ -228,8 +214,6 @@ void
 PartitionSet::run(unsigned threads)
 {
     fatal_if(domains.empty(), "PartitionSet::run: no domains");
-    if (threads == 0)
-        threads = partitionThreads();
     threads = std::min(threads, domainCount());
     epochs = 0;
     if (threads <= 1)

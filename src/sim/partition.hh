@@ -16,11 +16,11 @@
  *
  * Determinism contract (DESIGN.md §11). The domain decomposition is
  * fixed by the modeled topology, never by the worker-thread count:
- * DSASIM_PARTITIONS only chooses how many host threads execute the
- * epochs. Each domain keeps its own clock, sequence counter and
- * FNV-1a stream hash, and inbound messages are delivered between
- * epochs in a canonical order — (tick, source domain, channel,
- * channel-FIFO sequence) — so the (when, seq) stream each domain
+ * the caller's thread count only chooses how many host threads
+ * execute the epochs. Each domain keeps its own clock, sequence
+ * counter and FNV-1a stream hash, and inbound messages are delivered
+ * between epochs in a canonical order — (tick, source domain,
+ * channel, channel-FIFO sequence) — so the (when, seq) stream each domain
  * executes is bit-identical whether the epochs run on one thread or
  * sixteen. combinedStreamHash() folds the per-domain hashes in
  * domain-id order into the cross-domain fingerprint that
@@ -47,13 +47,6 @@
 
 namespace dsasim
 {
-
-/**
- * Worker-thread count requested via $DSASIM_PARTITIONS (default 1 =
- * today's serial path). This is a host-execution knob: it must never
- * change simulated behavior, only wall-clock.
- */
-unsigned partitionThreads();
 
 class PartitionSet;
 
@@ -183,7 +176,8 @@ class PartitionSet
     /**
      * Run every domain to completion under barrier-epoch
      * synchronization. @p threads <= 1 runs the identical epoch
-     * schedule on the calling thread; 0 means partitionThreads().
+     * schedule on the calling thread. The thread count is a
+     * host-execution knob: it never changes simulated behavior.
      * Worker t owns domains {t, t+T, t+2T, ...} — a fixed assignment,
      * though any assignment yields the same event streams.
      *
@@ -192,7 +186,7 @@ class PartitionSet
      * may inject new work afterwards and post across channels from
      * any domain without violating causality.
      */
-    void run(unsigned threads = 0);
+    void run(unsigned threads);
 
     unsigned domainCount() const
     {

@@ -1,16 +1,15 @@
 /**
  * @file
- * Telemetry registry, deterministic sampler and exporters
+ * Telemetry registry, deterministic sampler and CSV export
  * (DESIGN.md §15). See sim/stats.hh for the architecture.
  */
 
 #include "sim/stats.hh"
 
-#include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -62,8 +61,7 @@ Histogram::quantile(double q) const
 // Registry
 
 Registry::Metric &
-Registry::add(const std::string &name, Kind kind,
-              const std::string &help)
+Registry::add(const std::string &name, Kind kind)
 {
     fatal_if(name.empty(), "stats::Registry: empty metric name");
     auto [it, inserted] = metrics.try_emplace(name);
@@ -72,14 +70,13 @@ Registry::add(const std::string &name, Kind kind,
              "Registry::scope() for multi-instance components)",
              name.c_str());
     it->second.kind = kind;
-    it->second.help = help;
     return it->second;
 }
 
 Counter &
-Registry::counter(const std::string &name, const std::string &help)
+Registry::counter(const std::string &name)
 {
-    Metric &m = add(name, Kind::Counter, help);
+    Metric &m = add(name, Kind::Counter);
     if (auto it = pendingCounters.find(name);
         it != pendingCounters.end()) {
         m.ctr.cell = it->second;
@@ -89,10 +86,10 @@ Registry::counter(const std::string &name, const std::string &help)
 }
 
 Counter &
-Registry::counter(const std::string &name, const std::string &help,
+Registry::counter(const std::string &name,
                   std::function<std::uint64_t()> supplier)
 {
-    Metric &m = add(name, Kind::Counter, help);
+    Metric &m = add(name, Kind::Counter);
     m.ctr.fn = std::move(supplier);
     // Supplier-backed views restore through their owning component;
     // a parked value for this name is stale by definition.
@@ -101,9 +98,9 @@ Registry::counter(const std::string &name, const std::string &help,
 }
 
 Gauge &
-Registry::gauge(const std::string &name, const std::string &help)
+Registry::gauge(const std::string &name)
 {
-    Metric &m = add(name, Kind::Gauge, help);
+    Metric &m = add(name, Kind::Gauge);
     if (auto it = pendingGauges.find(name); it != pendingGauges.end()) {
         m.gau.cell = it->second;
         pendingGauges.erase(it);
@@ -112,20 +109,20 @@ Registry::gauge(const std::string &name, const std::string &help)
 }
 
 Gauge &
-Registry::gauge(const std::string &name, const std::string &help,
+Registry::gauge(const std::string &name,
                 std::function<double()> supplier)
 {
-    Metric &m = add(name, Kind::Gauge, help);
+    Metric &m = add(name, Kind::Gauge);
     m.gau.fn = std::move(supplier);
     pendingGauges.erase(name);
     return m.gau;
 }
 
 Histogram &
-Registry::histogram(const std::string &name, const std::string &help,
+Registry::histogram(const std::string &name,
                     std::vector<double> upper_bounds)
 {
-    Metric &m = add(name, Kind::Histogram, help);
+    Metric &m = add(name, Kind::Histogram);
     m.hist = Histogram(std::move(upper_bounds));
     if (auto it = pendingHistograms.find(name);
         it != pendingHistograms.end()) {
@@ -168,23 +165,15 @@ Registry::counterValue(const std::string &name) const // simlint:observer
     return it->second.ctr.value();
 }
 
-void
-Registry::sampleInto(Snapshot &snap) const // simlint:observer
+Registry::Snapshot
+Registry::snapshot() const // simlint:observer
 {
-    const bool rebuild = snap.entries.size() != metrics.size();
-    if (rebuild) {
-        snap.entries.clear();
-        snap.entries.resize(metrics.size());
-    }
-    std::size_t i = 0;
+    Snapshot snap;
+    snap.entries.reserve(metrics.size());
     for (const auto &[name, m] : metrics) {
-        SnapshotEntry &e = snap.entries[i++];
-        if (rebuild || e.name != name) {
-            e.name = name;
-            e.help = m.help;
-            e.kind = m.kind;
-            e.bounds = m.hist.ubounds;
-        }
+        SnapshotEntry e;
+        e.name = name;
+        e.kind = m.kind;
         switch (m.kind) {
           case Kind::Counter:
             e.value = static_cast<double>(m.ctr.value());
@@ -194,56 +183,11 @@ Registry::sampleInto(Snapshot &snap) const // simlint:observer
             break;
           case Kind::Histogram:
             e.value = static_cast<double>(m.hist.count());
-            e.sum = m.hist.sum();
-            e.buckets = m.hist.bucketCounts();
             break;
         }
+        snap.entries.push_back(std::move(e));
     }
-}
-
-Registry::Snapshot
-Registry::snapshot() const // simlint:observer
-{
-    Snapshot snap;
-    sampleInto(snap);
     return snap;
-}
-
-void
-Registry::fold(const Registry &src, const std::string &prefix)
-{
-    // Upsert semantics: barrier-time folds overwrite the previous
-    // interval's copy. Supplier-backed sources are evaluated now and
-    // stored flat, so the folded view has no cross-domain references.
-    for (const auto &[name, m] : src.metrics) {
-        const std::string full = prefix + name;
-        auto it = metrics.find(full);
-        if (it == metrics.end()) {
-            it = metrics.try_emplace(full).first;
-            it->second.kind = m.kind;
-            it->second.help = m.help;
-        } else {
-            fatal_if(it->second.kind != m.kind,
-                     "stats::Registry::fold: metric '%s' changed "
-                     "kind across folds",
-                     full.c_str());
-        }
-        Metric &dst = it->second;
-        switch (m.kind) {
-          case Kind::Counter:
-            dst.ctr.cell = m.ctr.value();
-            break;
-          case Kind::Gauge:
-            dst.gau.cell = m.gau.value();
-            break;
-          case Kind::Histogram:
-            dst.hist.ubounds = m.hist.ubounds;
-            dst.hist.counts = m.hist.counts;
-            dst.hist.n = m.hist.n;
-            dst.hist.total = m.hist.total;
-            break;
-        }
-    }
 }
 
 Registry::State
@@ -360,23 +304,12 @@ samplePeriodTicks()
 }
 
 // --------------------------------------------------------------------
-// Exporters
-
-std::string
-prometheusName(const std::string &name)
-{
-    std::string out = "dsasim_";
-    out.reserve(out.size() + name.size());
-    for (const char c : name)
-        out.push_back(
-            std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
-    return out;
-}
+// Sampler
 
 namespace
 {
 
-/** Shortest round-trippable rendering; %g-style for bounds. */
+/** Integers print exactly; anything else round-trips via %.17g. */
 void
 printDouble(std::FILE *out, double v)
 {
@@ -389,197 +322,7 @@ printDouble(std::FILE *out, double v)
     std::fprintf(out, "%.17g", v);
 }
 
-const char *
-kindName(Registry::Kind k)
-{
-    switch (k) {
-      case Registry::Kind::Counter:
-        return "counter";
-      case Registry::Kind::Gauge:
-        return "gauge";
-      case Registry::Kind::Histogram:
-        return "histogram";
-    }
-    return "untyped";
-}
-
 } // namespace
-
-void
-writePrometheus(const Registry::Snapshot &snap,
-                std::FILE *out) // simlint:observer
-{
-    std::fprintf(out,
-                 "# dsasim telemetry snapshot at tick %llu\n",
-                 static_cast<unsigned long long>(snap.when));
-    for (const Registry::SnapshotEntry &e : snap.entries) {
-        const std::string pname = prometheusName(e.name);
-        std::fprintf(out, "# HELP %s %s\n", pname.c_str(),
-                     e.help.empty() ? e.name.c_str()
-                                    : e.help.c_str());
-        std::fprintf(out, "# TYPE %s %s\n", pname.c_str(),
-                     kindName(e.kind));
-        if (e.kind != Registry::Kind::Histogram) {
-            std::fprintf(out, "%s ", pname.c_str());
-            printDouble(out, e.value);
-            std::fprintf(out, "\n");
-            continue;
-        }
-        // Histogram: cumulative buckets, then _sum and _count.
-        std::uint64_t cum = 0;
-        for (std::size_t b = 0; b < e.buckets.size(); ++b) {
-            cum += e.buckets[b];
-            std::fprintf(out, "%s_bucket{le=\"", pname.c_str());
-            if (b < e.bounds.size())
-                std::fprintf(out, "%g", e.bounds[b]);
-            else
-                std::fprintf(out, "+Inf");
-            std::fprintf(out, "\"} %llu\n",
-                         static_cast<unsigned long long>(cum));
-        }
-        std::fprintf(out, "%s_sum ", pname.c_str());
-        printDouble(out, e.sum);
-        std::fprintf(out, "\n%s_count %llu\n", pname.c_str(),
-                     static_cast<unsigned long long>(
-                         static_cast<std::uint64_t>(e.value)));
-    }
-}
-
-bool
-validatePrometheus(const std::string &text, std::string *error)
-{
-    const auto fail = [&](const std::string &msg) {
-        if (error != nullptr)
-            *error = msg;
-        return false;
-    };
-
-    // Per-metric-family bookkeeping keyed by base name.
-    struct Family
-    {
-        bool haveHelp = false;
-        bool haveType = false;
-        std::string type;
-        double lastBucket = -1.0;
-        bool sawInf = false;
-        double infCount = 0.0;
-        bool haveCount = false;
-        double count = 0.0;
-    };
-    std::map<std::string, Family> families;
-
-    const auto baseOf = [](const std::string &metric,
-                           std::string &suffix) {
-        for (const char *s : {"_bucket", "_sum", "_count"}) {
-            const std::size_t sl = std::strlen(s);
-            if (metric.size() > sl &&
-                metric.compare(metric.size() - sl, sl, s) == 0) {
-                suffix = s;
-                return metric.substr(0, metric.size() - sl);
-            }
-        }
-        suffix.clear();
-        return metric;
-    };
-
-    std::istringstream in(text);
-    std::string line;
-    int lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        const std::string at =
-            "line " + std::to_string(lineno) + ": ";
-        if (line.empty())
-            continue;
-        if (line.rfind("# HELP ", 0) == 0 ||
-            line.rfind("# TYPE ", 0) == 0) {
-            const bool is_help = line[2] == 'H';
-            std::istringstream ls(line.substr(7));
-            std::string metric, rest;
-            ls >> metric;
-            if (metric.empty())
-                return fail(at + "malformed HELP/TYPE line");
-            Family &f = families[metric];
-            if (is_help) {
-                f.haveHelp = true;
-            } else {
-                ls >> rest;
-                if (rest != "counter" && rest != "gauge" &&
-                    rest != "histogram" && rest != "untyped")
-                    return fail(at + "unknown TYPE '" + rest + "'");
-                f.haveType = true;
-                f.type = rest;
-            }
-            continue;
-        }
-        if (line[0] == '#')
-            continue; // plain comment
-        // Sample line: name[{labels}] value
-        const std::size_t brace = line.find('{');
-        const std::size_t space = line.find(' ');
-        if (space == std::string::npos)
-            return fail(at + "sample line with no value");
-        const std::string metric = line.substr(
-            0, std::min(space, brace == std::string::npos
-                                   ? space
-                                   : brace));
-        std::string suffix;
-        const std::string base = baseOf(metric, suffix);
-        const auto fit = families.find(base);
-        // Histogram child series inherit the family's HELP/TYPE; a
-        // scalar whose own name has HELP/TYPE is also fine.
-        const auto self = families.find(metric);
-        const Family *fam = nullptr;
-        if (fit != families.end() && fit->second.haveHelp &&
-            fit->second.haveType)
-            fam = &fit->second;
-        else if (self != families.end() && self->second.haveHelp &&
-                 self->second.haveType)
-            fam = &self->second;
-        if (fam == nullptr)
-            return fail(at + "sample '" + metric +
-                        "' missing HELP/TYPE");
-        const double value =
-            std::atof(line.c_str() + space + 1);
-        if (!(value >= 0.0) &&
-            (fam->type == "counter" || fam->type == "histogram"))
-            return fail(at + "negative " + fam->type + " sample '" +
-                        metric + "'");
-        if (fam->type == "histogram" && fit != families.end()) {
-            Family &f = fit->second;
-            if (suffix == "_bucket") {
-                if (value < f.lastBucket)
-                    return fail(at + "histogram '" + base +
-                                "' buckets not cumulative");
-                f.lastBucket = value;
-                if (brace != std::string::npos &&
-                    line.find("le=\"+Inf\"") != std::string::npos) {
-                    f.sawInf = true;
-                    f.infCount = value;
-                }
-            } else if (suffix == "_count") {
-                f.haveCount = true;
-                f.count = value;
-            }
-        }
-    }
-    for (const auto &[name, f] : families) {
-        if (f.type == "histogram" && f.haveCount) {
-            if (!f.sawInf)
-                return fail("histogram '" + name +
-                            "' missing +Inf bucket");
-            if (f.infCount != f.count)
-                return fail("histogram '" + name +
-                            "' +Inf bucket != _count");
-        }
-    }
-    if (error != nullptr)
-        error->clear();
-    return true;
-}
-
-// --------------------------------------------------------------------
-// Sampler
 
 Sampler::Sampler(Simulation &s, Tick period)
     : sim(s), tickPeriod(period)
@@ -644,8 +387,8 @@ Sampler::sample() // simlint:observer
         std::fprintf(stderr,
                      "dsasim: stats: metrics registered after the "
                      "first sample are omitted from the CSV (columns "
-                     "are locked); they still appear in the "
-                     "Prometheus export\n");
+                     "are locked); they stay readable in the live "
+                     "registry\n");
         warnedNewMetrics = true;
     }
 
@@ -675,19 +418,6 @@ Sampler::sample() // simlint:observer
     rows.push_back(std::move(row));
     if (rows.size() >= maxRows)
         decimate();
-
-    // Keep the Prometheus snapshot part of the recording: fresh on
-    // short runs, at most snapRefresh samples stale on long ones —
-    // and never read from the live registry at export time, when
-    // supplier-backed owners may already be gone.
-    ++samplesSinceSnap;
-    if (rows.size() <= snapRefresh ||
-        samplesSinceSnap >= snapRefresh) {
-        static_cast<const Simulation &>(sim).stats().sampleInto(
-            snap);
-        snap.when = sim.now();
-        samplesSinceSnap = 0;
-    }
 }
 
 bool
@@ -715,17 +445,6 @@ Sampler::writeCsv(const std::string &path) const
         }
         std::fprintf(f, "\n");
     }
-    std::fclose(f);
-    return true;
-}
-
-bool
-Sampler::writePrometheusFile(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr)
-        return false;
-    writePrometheus(snap, f);
     std::fclose(f);
     return true;
 }

@@ -4,8 +4,8 @@
  * percentiles, and time series for occupancy-style plots — plus the
  * first-class telemetry registry (namespace stats): hierarchical
  * dotted-name counters/gauges/fixed-bucket histograms, a
- * deterministic pure-observer sampler, and pcm-sensor-server-style
- * CSV / Prometheus exporters (DESIGN.md §15).
+ * deterministic pure-observer sampler, and its pcm-sensor-server-style
+ * CSV time-series exporter (DESIGN.md §15).
  */
 
 #ifndef DSASIM_SIM_STATS_HH
@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <map>
@@ -211,13 +210,12 @@ class CycleAccount
 
 /**
  * The telemetry registry (DESIGN.md §15). Metrics carry stable
- * hierarchical dotted names ("dsa0.eng2.bytes_read"; a cluster fold
- * prefixes the domain: "socket0.dsa1.eng2.bytes_read") and are
+ * hierarchical dotted names ("dsa0.eng2.bytes_read") and are
  * registered once, by the component that owns them, against the
  * Simulation's registry. Mutation goes through the metric API only —
  * Counter::add / Gauge::set / Histogram::observe (simlint's
  * counter-mutation rule rejects direct field writes) — and every
- * read surface (snapshots, the Sampler, the exporters) is a pure
+ * read surface (snapshots, the Sampler, the CSV export) is a pure
  * observer: it never schedules events, consumes sequence numbers, or
  * touches simulated state, so telemetry on/off and any sampling
  * period leave event-stream fingerprints bit-identical.
@@ -261,11 +259,11 @@ class Gauge
 };
 
 /**
- * Fixed-bucket histogram (Prometheus-style cumulative export): one
- * count per configured upper bound plus an implicit +Inf overflow
- * bucket. Unlike dsasim::Histogram (an exact/reservoir sample store
- * for offline percentiles) the memory is O(buckets) and the export
- * is deterministic, which is what the telemetry path needs.
+ * Fixed-bucket histogram: one count per configured upper bound plus
+ * an implicit +Inf overflow bucket. Unlike dsasim::Histogram (an
+ * exact/reservoir sample store for offline percentiles) the memory
+ * is O(buckets) and the readout is deterministic, which is what the
+ * telemetry path needs.
  */
 class Histogram
 {
@@ -297,8 +295,8 @@ class Histogram
 
     /**
      * Bucket-resolved quantile estimate (q in [0, 1]), linearly
-     * interpolated within the selected bucket — the p99/p999 readout
-     * for live dashboards; exact tails still come from the reservoir
+     * interpolated within the selected bucket — the CSV's p99/p999
+     * columns; exact tails still come from the reservoir
      * dsasim::Histogram.
      */
     double quantile(double q) const;
@@ -341,17 +339,14 @@ class Registry
 
     /// @name Registration (setup-time; duplicate names are fatal).
     /// @{
-    Counter &counter(const std::string &name,
-                     const std::string &help = "");
+    Counter &counter(const std::string &name);
     /** Supplier-backed counter view over an existing statistic. */
-    Counter &counter(const std::string &name, const std::string &help,
+    Counter &counter(const std::string &name,
                      std::function<std::uint64_t()> supplier);
+    Gauge &gauge(const std::string &name);
     Gauge &gauge(const std::string &name,
-                 const std::string &help = "");
-    Gauge &gauge(const std::string &name, const std::string &help,
                  std::function<double()> supplier);
     Histogram &histogram(const std::string &name,
-                         const std::string &help,
                          std::vector<double> upper_bounds);
 
     /**
@@ -371,42 +366,23 @@ class Registry
     std::uint64_t
     counterValue(const std::string &name) const; // simlint:observer
 
-    /** One metric flattened for export. */
+    /** One metric flattened for a point-in-time read. */
     struct SnapshotEntry
     {
         std::string name;
-        std::string help;
         Kind kind = Kind::Counter;
         /** Counter/gauge scalar; histogram: observation count. */
         double value = 0.0;
-        double sum = 0.0;                   ///< histogram only
-        std::vector<double> bounds;         ///< histogram only
-        std::vector<std::uint64_t> buckets; ///< histogram only
     };
 
     /** Point-in-time copy of every metric, ascending name order. */
     struct Snapshot
     {
-        Tick when = 0;
         std::vector<SnapshotEntry> entries;
     };
 
-    /**
-     * Refresh @p snap in place (reusing entry storage when the
-     * metric set is unchanged — the per-sample fast path).
-     */
-    void sampleInto(Snapshot &snap) const; // simlint:observer
-    Snapshot snapshot() const;             // simlint:observer
+    Snapshot snapshot() const; // simlint:observer
     /// @}
-
-    /**
-     * Copy every metric of @p src into this registry as a stored
-     * metric named prefix + name — the deterministic cluster fold:
-     * domains are folded in domain-id order with "socket<d>."
-     * prefixes, so the combined view is identical for any worker
-     * thread count.
-     */
-    void fold(const Registry &src, const std::string &prefix);
 
     /// @name Checkpointable state (stored metrics only — supplier-
     /// backed views restore through their owning component).
@@ -437,14 +413,12 @@ class Registry
     struct Metric
     {
         Kind kind = Kind::Counter;
-        std::string help;
         Counter ctr;
         Gauge gau;
         Histogram hist;
     };
 
-    Metric &add(const std::string &name, Kind kind,
-                const std::string &help);
+    Metric &add(const std::string &name, Kind kind);
 
     // Node-based ordered map: references stay valid for the life of
     // the registry and iteration is ascending-name deterministic.
@@ -467,24 +441,6 @@ class Registry
 bool samplingEnabled();
 std::string exportPrefix();
 Tick samplePeriodTicks();
-/// @}
-
-/// @name Exporters (pure observers over recorded snapshots).
-/// @{
-/** "dsa0.eng1.bytes_read" -> "dsasim_dsa0_eng1_bytes_read". */
-std::string prometheusName(const std::string &name);
-
-/** Prometheus text exposition format (HELP/TYPE + samples). */
-void writePrometheus(const Registry::Snapshot &snap,
-                     std::FILE *out); // simlint:observer
-
-/**
- * Validate Prometheus text-exposition output: every sample preceded
- * by its HELP/TYPE pair, histogram bucket counts cumulative, counter
- * values non-negative. Returns true when valid; otherwise fills
- * @p error.
- */
-bool validatePrometheus(const std::string &text, std::string *error);
 /// @}
 
 } // namespace stats
@@ -513,22 +469,17 @@ namespace stats
  * spacing; the surviving ticks are a function of simulated time
  * only, so identical runs decimate identically.
  *
- * The Prometheus snapshot is part of the recording: it refreshes
- * inside sample() — every sample for the first snapRefresh rows,
- * then every snapRefresh-th — and the exporters render that
- * recording, never the live registry. Supplier-backed metrics whose
- * owners die after the run (serving tenants, admission policies,
- * cluster ports) therefore never dangle at export time; the
- * invariant components must hold is only that suppliers outlive the
- * last event dispatch.
+ * The CSV export renders the recorded rows, never the live registry:
+ * supplier-backed metrics whose owners die after the run (serving
+ * tenants, admission policies, cluster ports) therefore never dangle
+ * at export time; components need only keep their suppliers alive
+ * through the last event dispatch.
  */
 class Sampler
 {
   public:
     /** Row cap; reaching it halves the recording, doubles period. */
     static constexpr std::size_t maxRows = 1 << 16;
-    /** Snapshot refresh cadence, in samples (see class comment). */
-    static constexpr std::size_t snapRefresh = 16;
 
     Sampler(Simulation &s, Tick period); // installs the hook
     ~Sampler();                          // clears the hook
@@ -542,12 +493,6 @@ class Sampler
     /** Current cadence (grows on decimation). */
     Tick period() const { return tickPeriod; }
 
-    /** Last recorded snapshot (≤ snapRefresh samples stale). */
-    const Registry::Snapshot &lastSnapshot() const // simlint:observer
-    {
-        return snap;
-    }
-
     /**
      * Per-run time series: one column per metric present at the
      * first sample (late registrations are noted once on stderr and
@@ -555,9 +500,6 @@ class Sampler
      * sample. Returns false on I/O failure.
      */
     bool writeCsv(const std::string &path) const;
-
-    /** Recorded snapshot in Prometheus text-exposition format. */
-    bool writePrometheusFile(const std::string &path) const;
 
   private:
     struct Row
@@ -585,12 +527,10 @@ class Sampler
 
     Simulation &sim;
     Tick tickPeriod;
-    Registry::Snapshot snap;
     std::vector<Column> columns;
     std::vector<Row> rows;
     std::size_t valuesPerRow = 0;
     std::size_t lockedMetricCount = 0;
-    std::size_t samplesSinceSnap = 0;
     bool warnedNewMetrics = false;
 };
 

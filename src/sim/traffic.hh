@@ -4,8 +4,8 @@
  * serving scenarios.
  *
  * The serving roadmap item needs thousands of tenants submitting
- * independently across partitioned sockets, with the N=1 and N=k
- * `DSASIM_PARTITIONS` event streams bit-identical even mid-overload.
+ * independently across partitioned sockets, with the event streams
+ * on 1 and on k worker threads bit-identical even mid-overload.
  * A stateful generator (sim/random.hh's Rng) cannot provide that:
  * its draw order would depend on how tenant coroutines interleave.
  * Arrival streams here are therefore *counter-based*: the k-th

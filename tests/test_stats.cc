@@ -7,10 +7,9 @@
  *  - fixed-bucket histogram goldens and quantile interpolation;
  *  - checkpoint round-trips, including values restored before their
  *    metric registers (the Snapshot::fork ordering);
- *  - the deterministic cluster fold;
- *  - Prometheus / CSV exporters (golden output + format validator);
  *  - sampler purity: the event-stream fingerprint is bit-identical
  *    with sampling off, and on at any period;
+ *  - the CSV export's locked columns and decimation;
  *  - the pcm::Monitor registry view and its pcm-accel line format.
  */
 
@@ -41,8 +40,8 @@ using test::Bench;
 TEST(StatsRegistry, CounterGaugeBasics)
 {
     stats::Registry reg;
-    stats::Counter &c = reg.counter("dev.ops", "operations");
-    stats::Gauge &g = reg.gauge("dev.depth", "queue depth");
+    stats::Counter &c = reg.counter("dev.ops");
+    stats::Gauge &g = reg.gauge("dev.depth");
 
     EXPECT_EQ(c.value(), 0u);
     c.inc();
@@ -64,10 +63,8 @@ TEST(StatsRegistry, SupplierBackedViews)
     stats::Registry reg;
     std::uint64_t events = 0;
     double level = 0.0;
-    stats::Counter &c =
-        reg.counter("src.events", "supplier view", [&] { return events; });
-    stats::Gauge &g =
-        reg.gauge("src.level", "supplier view", [&] { return level; });
+    stats::Counter &c = reg.counter("src.events", [&] { return events; });
+    stats::Gauge &g = reg.gauge("src.level", [&] { return level; });
 
     EXPECT_TRUE(c.supplierBacked());
     EXPECT_TRUE(g.supplierBacked());
@@ -100,10 +97,10 @@ TEST(StatsRegistry, SnapshotAscendingNamesAndSuppliers)
     stats::Registry reg;
     reg.counter("b.ops").add(2);
     std::uint64_t live = 5;
-    reg.counter("a.ops", "", [&] { return live; });
+    reg.counter("a.ops", [&] { return live; });
     reg.gauge("c.depth").set(3.0);
 
-    stats::Registry::Snapshot snap = reg.snapshot();
+    const stats::Registry::Snapshot snap = reg.snapshot();
     ASSERT_EQ(snap.entries.size(), 3u);
     EXPECT_EQ(snap.entries[0].name, "a.ops");
     EXPECT_EQ(snap.entries[1].name, "b.ops");
@@ -112,10 +109,9 @@ TEST(StatsRegistry, SnapshotAscendingNamesAndSuppliers)
     EXPECT_DOUBLE_EQ(snap.entries[1].value, 2.0);
     EXPECT_DOUBLE_EQ(snap.entries[2].value, 3.0);
 
-    // sampleInto refreshes in place and tracks the live supplier.
+    // A later snapshot tracks the live supplier.
     live = 6;
-    reg.sampleInto(snap);
-    EXPECT_DOUBLE_EQ(snap.entries[0].value, 6.0);
+    EXPECT_DOUBLE_EQ(reg.snapshot().entries[0].value, 6.0);
 }
 
 // --------------------------------------------------------------------
@@ -124,8 +120,7 @@ TEST(StatsRegistry, SnapshotAscendingNamesAndSuppliers)
 TEST(StatsHistogram, BucketGoldens)
 {
     stats::Registry reg;
-    stats::Histogram &h =
-        reg.histogram("lat", "latency", {1.0, 4.0, 16.0});
+    stats::Histogram &h = reg.histogram("lat", {1.0, 4.0, 16.0});
 
     for (double v : {0.5, 1.0, 2.0, 4.0, 8.0, 100.0})
         h.observe(v);
@@ -148,7 +143,7 @@ TEST(StatsHistogram, BucketGoldens)
 TEST(StatsHistogram, BoundsMustAscend)
 {
     stats::Registry reg;
-    EXPECT_DEATH(reg.histogram("bad", "", {4.0, 4.0}), "ascending");
+    EXPECT_DEATH(reg.histogram("bad", {4.0, 4.0}), "ascending");
 }
 
 // --------------------------------------------------------------------
@@ -159,12 +154,12 @@ TEST(StatsRegistry, SaveRestoreRoundTrip)
     stats::Registry reg;
     reg.counter("a.ops").add(10);
     reg.gauge("a.depth").set(2.5);
-    stats::Histogram &h = reg.histogram("a.lat", "", {1.0, 8.0});
+    stats::Histogram &h = reg.histogram("a.lat", {1.0, 8.0});
     h.observe(0.5);
     h.observe(9.0);
     // Supplier-backed views are skipped: they restore through the
     // owning component, not the registry.
-    reg.counter("a.live", "", [] { return std::uint64_t{7}; });
+    reg.counter("a.live", [] { return std::uint64_t{7}; });
 
     stats::Registry::State st = reg.saveState();
     ASSERT_EQ(st.counters.size(), 1u);
@@ -173,7 +168,7 @@ TEST(StatsRegistry, SaveRestoreRoundTrip)
     stats::Registry other;
     stats::Counter &oc = other.counter("a.ops");
     stats::Gauge &og = other.gauge("a.depth");
-    stats::Histogram &oh = other.histogram("a.lat", "", {1.0, 8.0});
+    stats::Histogram &oh = other.histogram("a.lat", {1.0, 8.0});
     other.restoreState(st);
 
     EXPECT_EQ(oc.value(), 10u);
@@ -200,107 +195,6 @@ TEST(StatsRegistry, PendingRestoreSeedsLateRegistration)
     stats::Gauge &g = other.gauge("late.depth");
     EXPECT_EQ(c.value(), 33u);
     EXPECT_DOUBLE_EQ(g.value(), 1.5);
-}
-
-TEST(StatsRegistry, FoldPrefixesAndMaterializesSuppliers)
-{
-    stats::Registry s0;
-    s0.counter("dsa0.ops").add(4);
-    s0.counter("dsa0.live", "", [] { return std::uint64_t{11}; });
-    stats::Registry s1;
-    s1.counter("dsa0.ops").add(6);
-
-    stats::Registry combined;
-    combined.fold(s0, "socket0.");
-    combined.fold(s1, "socket1.");
-
-    EXPECT_EQ(combined.counterValue("socket0.dsa0.ops"), 4u);
-    EXPECT_EQ(combined.counterValue("socket1.dsa0.ops"), 6u);
-    // The supplier view folds as a stored value — the combined
-    // registry must not dangle into the source domain.
-    EXPECT_EQ(combined.counterValue("socket0.dsa0.live"), 11u);
-}
-
-// --------------------------------------------------------------------
-// Exporters
-
-std::string
-renderPrometheus(const stats::Registry &reg)
-{
-    std::FILE *f = std::tmpfile();
-    EXPECT_NE(f, nullptr);
-    stats::writePrometheus(reg.snapshot(), f);
-    std::fseek(f, 0, SEEK_SET);
-    std::string text;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, got);
-    std::fclose(f);
-    return text;
-}
-
-TEST(StatsExport, PrometheusGolden)
-{
-    stats::Registry reg;
-    reg.counter("dsa0.eng1.bytes_read", "bytes pulled by the engine")
-        .add(4096);
-    reg.gauge("llc.occupancy_bytes", "LLC bytes in use").set(1.5);
-    stats::Histogram &h =
-        reg.histogram("serving0.latency_us", "request latency",
-                      {1.0, 8.0});
-    h.observe(0.5);
-    h.observe(2.0);
-    h.observe(100.0);
-
-    const std::string text = renderPrometheus(reg);
-    const std::string want =
-        "# dsasim telemetry snapshot at tick 0\n"
-        "# HELP dsasim_dsa0_eng1_bytes_read bytes pulled by the "
-        "engine\n"
-        "# TYPE dsasim_dsa0_eng1_bytes_read counter\n"
-        "dsasim_dsa0_eng1_bytes_read 4096\n"
-        "# HELP dsasim_llc_occupancy_bytes LLC bytes in use\n"
-        "# TYPE dsasim_llc_occupancy_bytes gauge\n"
-        "dsasim_llc_occupancy_bytes 1.5\n"
-        "# HELP dsasim_serving0_latency_us request latency\n"
-        "# TYPE dsasim_serving0_latency_us histogram\n"
-        "dsasim_serving0_latency_us_bucket{le=\"1\"} 1\n"
-        "dsasim_serving0_latency_us_bucket{le=\"8\"} 2\n"
-        "dsasim_serving0_latency_us_bucket{le=\"+Inf\"} 3\n"
-        "dsasim_serving0_latency_us_sum 102.5\n"
-        "dsasim_serving0_latency_us_count 3\n";
-    EXPECT_EQ(text, want);
-
-    std::string err;
-    EXPECT_TRUE(stats::validatePrometheus(text, &err)) << err;
-}
-
-TEST(StatsExport, ValidatorRejectsMalformedOutput)
-{
-    std::string err;
-    // A sample with no preceding HELP/TYPE pair.
-    EXPECT_FALSE(
-        stats::validatePrometheus("dsasim_orphan 1\n", &err));
-    EXPECT_FALSE(err.empty());
-
-    // Non-cumulative histogram buckets.
-    const std::string bad =
-        "# HELP dsasim_h h\n"
-        "# TYPE dsasim_h histogram\n"
-        "dsasim_h_bucket{le=\"1\"} 5\n"
-        "dsasim_h_bucket{le=\"+Inf\"} 3\n"
-        "dsasim_h_sum 1\n"
-        "dsasim_h_count 3\n";
-    EXPECT_FALSE(stats::validatePrometheus(bad, &err));
-}
-
-TEST(StatsExport, PrometheusNameMangling)
-{
-    EXPECT_EQ(stats::prometheusName("dsa0.eng1.bytes_read"),
-              "dsasim_dsa0_eng1_bytes_read");
-    EXPECT_EQ(stats::prometheusName("upi0to1.round_trips"),
-              "dsasim_upi0to1_round_trips");
 }
 
 // --------------------------------------------------------------------
@@ -336,7 +230,7 @@ TEST(StatsPlatform, ComponentFamiliesRegistered)
 {
     HwBench b;
     const stats::Registry &reg = b.sim.stats();
-    // Every component family the exporter covers registers against
+    // Every component family the CSV export covers registers against
     // the Simulation's registry at construction/configure time.
     for (const char *name : {
              "dsa0.descriptors_submitted",  // device

@@ -84,28 +84,5 @@ TEST(SweepRunner, JobsEnvOverride)
     EXPECT_EQ(sweepJobs(), hw);
 }
 
-TEST(SweepRunner, JobsComposeWithPartitions)
-{
-    // jobs x partitions must never oversubscribe the host: explicit
-    // DSASIM_JOBS is clamped when DSASIM_PARTITIONS > 1, and the
-    // default hands the partition workers their share of the budget.
-    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    setenv("DSASIM_PARTITIONS", "2", 1);
-    setenv("DSASIM_JOBS", "1000000", 1);
-    EXPECT_EQ(sweepJobs(), std::max(1u, hw / 2));
-    EXPECT_LE(sweepJobs() * 2, std::max(2u, hw));
-    setenv("DSASIM_JOBS", "1", 1);
-    EXPECT_EQ(sweepJobs(), 1u); // explicit small value is untouched
-    unsetenv("DSASIM_JOBS");
-    EXPECT_EQ(sweepJobs(), std::max(1u, hw / 2));
-    // partitions=1 restores today's behavior exactly.
-    setenv("DSASIM_PARTITIONS", "1", 1);
-    setenv("DSASIM_JOBS", "3", 1);
-    EXPECT_EQ(sweepJobs(), 3u);
-    unsetenv("DSASIM_JOBS");
-    unsetenv("DSASIM_PARTITIONS");
-    EXPECT_EQ(sweepJobs(), hw);
-}
-
 } // namespace
 } // namespace dsasim::bench

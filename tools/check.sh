@@ -85,9 +85,9 @@ echo "== Telemetry observer gates (DESIGN.md §15) =="
 "$root/build-release/tools/determinism_check" --telemetry --n=2000 \
     --seed=1 \
     --faults='page-fault:p=0.05;hang:every=701;wq-reject:p=0.01'
-# Exporter end-to-end: arm the sampler, render the CSV with
-# statsdump, and sanity-check the Prometheus snapshot covers the
-# component families.
+# Exporter end-to-end: arm the sampler and render the CSV with
+# statsdump (the telemetry_families ctest requires the component
+# families in it).
 tele_dir=$(mktemp -d)
 DSASIM_STATS="$tele_dir/check-" \
     "$root/build-release/tools/dsa_perf_micros" \
@@ -96,15 +96,6 @@ DSASIM_STATS="$tele_dir/check-" \
     "$tele_dir"/check-*.csv >/dev/null
 "$root/build-release/tools/statsdump" --interval-us=100 \
     "$tele_dir"/check-*.csv >/dev/null
-for metric in dsa0_descriptors_submitted dsa0_wq0_depth \
-    dsa0_eng0_bytes_read dsa0_eng0_utilization \
-    llc_occupancy_bytes llc_miss_bytes iommu_translations; do
-    grep -q "# TYPE dsasim_$metric " "$tele_dir"/check-*.prom || {
-        echo "telemetry: dsasim_$metric missing from the Prometheus \
-export" >&2
-        exit 1
-    }
-done
 # The perf gates must hold with sampling armed at the default period
 # (the sampler is a pure observer with negligible host cost).
 DSASIM_STATS="$tele_dir/bench-" \
@@ -127,13 +118,13 @@ cmake -B "$root/build-tsan" -S "$root" \
 cmake --build "$root/build-tsan" -j "$(nproc)" \
     --target test_sweep test_partition determinism_check
 "$root/build-tsan/tests/test_sweep"
-DSASIM_PARTITIONS=4 "$root/build-tsan/tests/test_partition"
+"$root/build-tsan/tests/test_partition"
 "$root/build-tsan/tools/determinism_check" --partitions=4 --n=400 \
     --seed=1
 # Per-socket samplers under the threaded epoch runner: each domain's
 # sampler observes its own registry from its worker thread.
 tsan_tele=$(mktemp -d)
-DSASIM_STATS="$tsan_tele/tsan-" DSASIM_PARTITIONS=4 \
+DSASIM_STATS="$tsan_tele/tsan-" \
     "$root/build-tsan/tools/determinism_check" --partitions=4 \
     --n=400 --seed=1
 rm -rf "$tsan_tele"

@@ -43,7 +43,7 @@
  *                   counter-based (CounterRng::at(k)) so the k-th
  *                   variate is a pure function of (seed, tenant, k),
  *                   independent of event interleaving and
- *                   DSASIM_PARTITIONS (DESIGN.md §12).
+ *                   the worker-thread count (DESIGN.md §12).
  *   banned-fn       no unbounded C string functions (strcpy, strcat,
  *                   sprintf, vsprintf, gets) anywhere.
  *   volatile-sync   no 'volatile' anywhere — it is not a
@@ -2251,7 +2251,7 @@ class ProjectAnalyzer
                             "counter-based (CounterRng::at(k), "
                             "DESIGN.md §12) so every variate is "
                             "independent of event interleaving and "
-                            "DSASIM_PARTITIONS");
+                            "the worker-thread count");
                     }
                 }
             }
