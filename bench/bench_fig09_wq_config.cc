@@ -86,8 +86,10 @@ runConfig(unsigned n, const char *kind, std::uint64_t ts)
                 wd.completion = crs.back().get();
                 if (wq.mode == WorkQueue::Mode::Dedicated)
                     co_await sub.movdir64b(d, wq, wd);
-                else
-                    co_await sub.enqcmdRetry(d, wq, wd);
+                else {
+                    DsaDevice::SubmitStatus st{};
+                    co_await sub.enqcmd(d, wq, wd, {}, st);
+                }
                 W::drain(*crs.back(), window, all);
             }
             co_await all.wait();

@@ -234,8 +234,10 @@ class Rig
         bool operator==(const Options &) const = default;
     };
 
-    explicit Rig(const Options &o)
-        : opt(o), plat(sim, o.platform), as(&plat.mem().createSpace())
+    /** @p statsStem names the telemetry file (Platform). */
+    explicit Rig(const Options &o, std::string statsStem = {})
+        : opt(o), plat(sim, o.platform, std::move(statsStem)),
+          as(&plat.mem().createSpace())
     {
         std::vector<DsaDevice *> devs;
         for (unsigned i = 0; i < o.devices; ++i) {
@@ -254,7 +256,7 @@ class Rig
      * Fork: rebuild the shape the options describe, then restore the
      * captured state on top (defined after RigSnapshot below).
      */
-    explicit Rig(const RigSnapshot &snap);
+    explicit Rig(const RigSnapshot &snap, std::string statsStem = {});
 
     Options opt;
     Simulation sim;
@@ -286,8 +288,10 @@ snapRig(Rig &rig)
         Snapshot::capture(rig.plat), rig.exec->saveState(), rig.opt});
 }
 
-inline Rig::Rig(const RigSnapshot &snap)
-    : opt(snap.options), plat(sim, snap.options.platform), as(nullptr)
+inline Rig::Rig(const RigSnapshot &snap, std::string statsStem)
+    : opt(snap.options),
+      plat(sim, snap.options.platform, std::move(statsStem)),
+      as(nullptr)
 {
     std::vector<DsaDevice *> devs;
     for (unsigned i = 0; i < opt.devices; ++i) {
@@ -533,9 +537,9 @@ class Scenario
 
     /** Build a cold rig and run the warm-up phase on it. */
     std::unique_ptr<Rig>
-    warmRig() const
+    warmRig(std::string statsStem = {}) const
     {
-        auto rig = std::make_unique<Rig>(opts);
+        auto rig = std::make_unique<Rig>(opts, std::move(statsStem));
         warmup(*rig);
         return rig;
     }
@@ -578,6 +582,18 @@ runScenario(const Scenario &sc, MeasureFn &&measure)
 }
 
 /**
+ * Process-wide sweep sequence number, shared by every instantiation
+ * of sweepScenarios (a static inside the template would count per
+ * measure type). Sweeps start on the main thread, so it is fixed.
+ */
+inline unsigned
+nextSweepId()
+{
+    static std::atomic<unsigned> next{0};
+    return next++;
+}
+
+/**
  * Evaluate measure(rig, i) for each point's scenario, in index
  * order. Points with matching setups share one warmed, snapshotted
  * rig and fork from it; with DSASIM_SNAPSHOT=0 every point warms a
@@ -593,9 +609,17 @@ sweepScenarios(SweepRunner &sweep, const std::vector<Scenario> &pts,
 {
     using R = decltype(measure(std::declval<Rig &>(), std::size_t{}));
     const std::size_t n = pts.size();
+    // Telemetry files are named by sweep and point, so which file
+    // holds which point does not depend on which worker thread built
+    // its platform first.
+    const std::string sweepTag = "-s" + std::to_string(nextSweepId());
+    auto statsStem = [&](std::size_t i, const char *role) {
+        return pts[i].options().platform.name + sweepTag + role +
+               std::to_string(i);
+    };
     if (!snapshotsEnabled()) {
         return sweep.run(n, [&](std::size_t i) -> R {
-            auto rig = pts[i].warmRig();
+            auto rig = pts[i].warmRig(statsStem(i, "-p"));
             rig->sim.run();
             return measure(*rig, i);
         });
@@ -620,12 +644,13 @@ sweepScenarios(SweepRunner &sweep, const std::vector<Scenario> &pts,
     auto snaps = sweep.run(
         leaders.size(),
         [&](std::size_t g) -> std::shared_ptr<const RigSnapshot> {
-            auto rig = pts[leaders[g]].warmRig();
+            auto rig = pts[leaders[g]].warmRig(
+                statsStem(leaders[g], "-warm"));
             rig->sim.run(); // drain to idle: capture precondition
             return snapRig(*rig);
         });
     return sweep.run(n, [&](std::size_t i) -> R {
-        Rig rig(*snaps[group[i]]);
+        Rig rig(*snaps[group[i]], statsStem(i, "-p"));
         return measure(rig, i);
     });
 }

@@ -307,15 +307,17 @@ Executor::submit(Core &core, Job &job)
         co_await t.credits->acquire();
         releaseOnDone(job.cr, *t.credits);
         co_await sub.movdir64b(*t.dev, *t.wq, job.desc);
-    } else if (cfg.enqcmdMaxRetries == 0) {
-        co_await sub.enqcmdRetry(*t.dev, *t.wq, job.desc);
     } else {
-        bool accepted = false;
-        co_await sub.enqcmdBackoff(*t.dev, *t.wq, job.desc, accepted,
-                                   cfg.enqcmdMaxRetries,
-                                   cfg.enqcmdBackoffBase,
-                                   cfg.enqcmdBackoffCap);
-        if (!accepted && !job.cr.isDone()) {
+        // enqcmdMaxRetries == 0 is the unbounded Fig. 9 retry.
+        Submitter::RetryPolicy policy;
+        if (cfg.enqcmdMaxRetries > 0)
+            policy.maxRetries = cfg.enqcmdMaxRetries;
+        policy.backoffBase = cfg.enqcmdBackoffBase;
+        policy.backoffCap = cfg.enqcmdBackoffCap;
+        DsaDevice::SubmitStatus st{};
+        co_await sub.enqcmd(*t.dev, *t.wq, job.desc, policy, st);
+        if (st != DsaDevice::SubmitStatus::Accepted &&
+            !job.cr.isDone()) {
             // Backoff exhausted with the SWQ still full: the job
             // never reached the device, so the driver writes the
             // terminal status (a Rejected portal write has already
@@ -342,51 +344,57 @@ Executor::harvest(const CompletionRecord &cr, OpResult &out)
     out.usedHardware = true;
 }
 
-std::shared_ptr<Executor::WatchdogArm>
-Executor::armWatchdog(Job &job)
+CoTask
+Executor::awaitCompletion(Core &core, CompletionRecord &cr,
+                          DsaDevice *dev)
 {
-    auto arm = std::make_shared<WatchdogArm>();
-    CompletionRecord *crp = &job.cr;
-    DsaDevice *devp = job.targetDev;
-    Executor *self = this;
-    const Tick grace = cfg.watchdogGrace;
-    sim.scheduleIn(cfg.watchdogTimeout, [arm, crp, devp, self, grace] {
-        if (arm->cancelled || crp->isDone())
-            return;
-        ++self->watchdogFires;
-        // Release anything hung on the device; the descriptor then
-        // publishes Aborted on its own.
-        if (devp)
-            devp->abortHung();
-        // If even that produced no completion within the grace
-        // window, the driver declares the job dead itself so the
-        // waiter can never hang.
-        self->sim.scheduleIn(grace, [arm, crp, self] {
+    // Cancellation token: the timeout callback may outlive the
+    // record, so it checks cancelled before touching it.
+    struct Arm
+    {
+        bool cancelled = false;
+    };
+    std::shared_ptr<Arm> arm;
+    if (cfg.watchdogTimeout > 0 && !cr.isDone()) {
+        arm = std::make_shared<Arm>();
+        CompletionRecord *crp = &cr;
+        Executor *self = this;
+        const Tick grace = cfg.watchdogGrace;
+        sim.scheduleIn(cfg.watchdogTimeout, [arm, crp, dev, self, grace] {
             if (arm->cancelled || crp->isDone())
                 return;
-            ++self->watchdogForced;
-            crp->bytesCompleted = 0;
-            crp->complete(CompletionRecord::Status::Aborted);
+            ++self->watchdogFires;
+            // Release anything hung on the device; the descriptor
+            // then publishes Aborted on its own.
+            if (dev)
+                dev->abortHung();
+            // If even that produced no completion within the grace
+            // window, the driver declares the job dead itself so the
+            // waiter can never hang.
+            self->sim.scheduleIn(grace, [arm, crp, self] {
+                if (arm->cancelled || crp->isDone())
+                    return;
+                ++self->watchdogForced;
+                crp->bytesCompleted = 0;
+                crp->complete(CompletionRecord::Status::Aborted);
+            });
         });
-    });
-    return arm;
+    }
+    Submitter sub(core, targets.empty() ? DsaParams{}
+                                        : targets[0].dev->params());
+    if (cfg.useUmwait)
+        co_await sub.umwait(cr);
+    else
+        co_await sub.poll(cr);
+    if (arm)
+        arm->cancelled = true;
 }
 
 CoTask
 Executor::wait(Core &core, Job &job, OpResult &out)
 {
     panic_if(!job.usedHardware, "wait() on a non-submitted job");
-    std::shared_ptr<WatchdogArm> arm;
-    if (cfg.watchdogTimeout > 0 && !job.cr.isDone())
-        arm = armWatchdog(job);
-    Submitter sub(core, targets.empty() ? DsaParams{}
-                                        : targets[0].dev->params());
-    if (cfg.useUmwait)
-        co_await sub.umwait(job.cr);
-    else
-        co_await sub.poll(job.cr);
-    if (arm)
-        arm->cancelled = true;
+    co_await awaitCompletion(core, job.cr, job.targetDev);
     harvest(job.cr, out);
     out.latency = sim.now() - job.submittedAt;
 }

@@ -54,7 +54,8 @@ struct ExecutorConfig
     /// @{
     /**
      * Abort a hardware job that has not completed this long after
-     * wait() starts (a hung engine, a lost completion). 0 = off.
+     * its wait starts (a hung engine, a lost completion). 0 = off.
+     * Also guards the ServingNode requests run over this executor.
      */
     Tick watchdogTimeout = 0;
     /**
@@ -202,6 +203,19 @@ class Executor
 
     /** Wait for a job and harvest its result. */
     CoTask wait(Core &core, Job &job, OpResult &out);
+
+    /**
+     * Wait on @p cr (UMWAIT, or spin-poll if !useUmwait) under the
+     * hang watchdog, when watchdogTimeout is set: the timeout aborts
+     * whatever hangs on @p dev and, if the record stays silent
+     * through watchdogGrace, force-completes it Aborted, so the
+     * waiter always resumes.
+     */
+    CoTask awaitCompletion(Core &core, CompletionRecord &cr,
+                           DsaDevice *dev);
+
+    /** Copy a completion record into @p out (usedHardware = true). */
+    static void harvest(const CompletionRecord &cr, OpResult &out);
     /// @}
 
     /// @name Synchronous one-shot, honoring the configured path.
@@ -312,18 +326,7 @@ class Executor
     Target &pickTarget();
     bool shouldOffload(const WorkDescriptor &d) const;
     SwKernels::Result runSoftware(Core &core, const WorkDescriptor &d);
-    static void harvest(const CompletionRecord &cr, OpResult &out);
     SimTask releaseOnDone(CompletionRecord &cr, Semaphore &credits);
-    /**
-     * Cancellation token for an armed watchdog: the timeout callback
-     * may outlive the Job, so it checks cancelled before touching
-     * the completion record.
-     */
-    struct WatchdogArm
-    {
-        bool cancelled = false;
-    };
-    std::shared_ptr<WatchdogArm> armWatchdog(Job &job);
     /** Page the faulting VA back in; false if it is unmapped. */
     bool touchFaultPage(Pasid pasid, Addr va);
     /**

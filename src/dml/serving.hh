@@ -11,6 +11,11 @@
  *      CPU (SwKernels) fallback  — never a hang, never a drop of an
  *      accepted descriptor.
  *
+ * The node owns only the policy. It submits through
+ * Submitter::enqcmd and waits, watches for hangs and reads the
+ * completion record through its Executor, so the hang watchdog is
+ * the executor's (ExecutorConfig::watchdogTimeout/watchdogGrace).
+ *
  * The breaker watches each tenant's queue-full rate over a tumbling
  * event-count window (event counts, not wall intervals, so the
  * policy is a pure function of the deterministic outcome sequence).
@@ -135,8 +140,6 @@ struct ServingConfig
     Tick backoffCap = fromUs(4);
     double backoffJitter = 0.5;   ///< pause *= 1 - jitter * U[0,1)
     unsigned outstandingCap = 32; ///< per-tenant in-flight bound
-    Tick watchdogTimeout = 0;     ///< 0 = no hang watchdog
-    Tick watchdogGrace = fromUs(50);
     bool cpuFallback = true;      ///< degrade to SwKernels
     CircuitBreaker::Config breaker{};
     std::uint64_t seed = 1;       ///< jitter stream seed
@@ -216,16 +219,9 @@ class ServingNode
 
     const ServingConfig &config() const { return cfg; }
 
-    /// @name Watchdog statistics.
-    /// @{
-    std::uint64_t watchdogFires = 0;
-    std::uint64_t watchdogForced = 0;
-    /// @}
-
   private:
     SimTask serveDetached(TenantSession &t, std::uint64_t k,
                           Latch &done);
-    CoTask awaitCompletion(TenantSession &t, CompletionRecord &cr);
 
     ServingConfig cfg;
     Simulation &sim;

@@ -1,6 +1,7 @@
 #include "driver/platform.hh"
 
 #include <atomic>
+#include <cstdio>
 
 #include "sim/logging.hh"
 
@@ -95,7 +96,8 @@ PlatformConfig::icx()
     return cfg;
 }
 
-Platform::Platform(Simulation &s, const PlatformConfig &cfg)
+Platform::Platform(Simulation &s, const PlatformConfig &cfg,
+                   std::string statsStem)
     : simulation(s), config(cfg)
 {
     memSys = std::make_unique<MemSystem>(s, cfg.mem);
@@ -121,12 +123,13 @@ Platform::Platform(Simulation &s, const PlatformConfig &cfg)
     // registry poller. One hook per calendar — in multi-platform
     // setups (rare outside tests) the first platform samples.
     if (stats::samplingEnabled() && !s.hasSampleHook()) {
-        static std::atomic<unsigned> instance{0};
-        const unsigned n = instance.fetch_add(1);
-        statsCsvPath =
-            stats::exportPrefix() + cfg.name +
-            (n == 0 ? std::string{} : "-" + std::to_string(n)) +
-            ".csv";
+        if (statsStem.empty()) {
+            static std::atomic<unsigned> instance{0};
+            const unsigned n = instance.fetch_add(1);
+            statsStem = cfg.name + (n == 0 ? std::string{}
+                                           : "-" + std::to_string(n));
+        }
+        statsCsvPath = stats::exportPrefix() + statsStem + ".csv";
         statsSampler = std::make_unique<stats::Sampler>(
             s, stats::samplePeriodTicks());
     }
@@ -215,59 +218,6 @@ Platform::setFaultInjector(std::unique_ptr<FaultInjector> fi)
     for (auto &d : dsas_)
         d->setFaultInjector(p);
     memSys->iommu().setFaultInjector(p);
-}
-
-void
-Platform::dumpStats(std::FILE *out) const
-{
-    std::fprintf(out, "---------- dsasim stats @ %.3f us ----------\n",
-                 toUs(simulation.now()));
-    for (const auto &c : cores_) {
-        if (c->busyTicks() == 0 && c->umwaitTicks() == 0 &&
-            c->spinTicks() == 0)
-            continue;
-        std::fprintf(out,
-                     "core%-3d busy %10.2f us  umwait %10.2f us  "
-                     "spin %8.2f us\n",
-                     c->id(), toUs(c->busyTicks()),
-                     toUs(c->umwaitTicks()), toUs(c->spinTicks()));
-    }
-    for (const auto &d : dsas_) {
-        if (!d->enabled())
-            continue;
-        std::fprintf(out,
-                     "dsa%-4d submitted %8llu retried %6llu "
-                     "processed %8llu rd %10.2f MB wr %10.2f MB\n",
-                     d->deviceId(),
-                     static_cast<unsigned long long>(
-                         d->descriptorsSubmitted()),
-                     static_cast<unsigned long long>(
-                         d->descriptorsRetried()),
-                     static_cast<unsigned long long>(
-                         d->descriptorsProcessed()),
-                     static_cast<double>(
-                         d->fabricRead().bytesServed()) /
-                         1e6,
-                     static_cast<double>(
-                         d->fabricWrite().bytesServed()) /
-                         1e6);
-    }
-    for (std::size_t i = 0; i < memSys->nodeCount(); ++i) {
-        const MemNode &n = memSys->node(static_cast<int>(i));
-        std::fprintf(out,
-                     "node%-3zu (%s) rd %10.2f MB (%4.1f%% busy)  "
-                     "wr %10.2f MB (%4.1f%% busy)\n",
-                     i, memKindName(n.config.kind),
-                     static_cast<double>(n.readLink.bytesServed()) /
-                         1e6,
-                     100.0 * n.readLink.utilization(),
-                     static_cast<double>(n.writeLink.bytesServed()) /
-                         1e6,
-                     100.0 * n.writeLink.utilization());
-    }
-    std::fprintf(out, "events executed: %llu\n",
-                 static_cast<unsigned long long>(
-                     simulation.eventsExecuted()));
 }
 
 } // namespace dsasim

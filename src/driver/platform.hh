@@ -18,7 +18,6 @@
 #ifndef DSASIM_DRIVER_PLATFORM_HH
 #define DSASIM_DRIVER_PLATFORM_HH
 
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,11 +66,15 @@ class Platform
     /**
      * When $DSASIM_STATS is set (sim/stats.hh knobs) the platform
      * installs a stats::Sampler on @p s at construction and writes
-     * the recorded series to <prefix><name>.csv at destruction. Only
-     * the first platform on a simulation samples (one hook per
-     * calendar).
+     * the recorded series to <prefix><statsStem>.csv at destruction.
+     * Only the first platform on a simulation samples (one hook per
+     * calendar). An empty @p statsStem means <name>, suffixed -<n>
+     * for the n-th such platform in the process: a fixed name only
+     * while those platforms are built in a fixed order, so callers
+     * that build platforms on worker threads pass their own stem.
      */
-    Platform(Simulation &s, const PlatformConfig &cfg);
+    Platform(Simulation &s, const PlatformConfig &cfg,
+             std::string statsStem = {});
     ~Platform();
 
     Simulation &sim() { return simulation; }
@@ -126,13 +129,6 @@ class Platform
      */
     std::string drainHint();
 
-    /**
-     * Dump a gem5-style end-of-run statistics summary: per-core
-     * cycle accounts, per-device engine/traffic counters, and
-     * memory-link utilization.
-     */
-    void dumpStats(std::FILE *out) const;
-
   private:
     Simulation &simulation;
     PlatformConfig config;
@@ -143,7 +139,7 @@ class Platform
     std::vector<std::unique_ptr<CbdmaDevice>> cbdmas_;
     std::unique_ptr<FaultInjector> faultInjector;
 
-    /** CSV export path (disambiguated across instances) and the
+    /** CSV export path and the
      * deterministic-cadence registry poller; null when $DSASIM_STATS
      * is off or another platform already samples this simulation. */
     std::string statsCsvPath;

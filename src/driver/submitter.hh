@@ -20,10 +20,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "cpu/core.hh"
 #include "dsa/device.hh"
 #include "sim/task.hh"
+#include "sim/traffic.hh"
 
 namespace dsasim
 {
@@ -76,79 +78,68 @@ class Submitter
     }
 
     /**
-     * ENQCMD to a shared WQ. The core blocks for the non-posted
-     * round trip; @p accepted reports the returned status.
+     * How enqcmd() absorbs Retry. An unset @p maxRetries resubmits
+     * immediately until the SWQ accepts: the paper's measured
+     * contention behavior (Fig. 9), whose calibration depends on that
+     * timing, so it schedules no pause. A set bound allows at most
+     * that many resubmissions (0 = none), each after a pause that
+     * starts at @p backoffBase and doubles up to @p backoffCap. The
+     * pause is accounted as backoff (not busy) time: the core could
+     * run other work.
+     */
+    struct RetryPolicy
+    {
+        std::optional<unsigned> maxRetries;
+        Tick backoffBase = 0;
+        Tick backoffCap = 0;
+        /**
+         * Optional counter-based jitter: retry @p a pauses
+         * pause * (1 - jitterFraction * jitter->uniformAt(jitterBase
+         * + a)), a pure function of the draw index, so the spread
+         * replays identically for any worker-thread count.
+         */
+        const CounterRng *jitter = nullptr;
+        std::uint64_t jitterBase = 0;
+        double jitterFraction = 0;
+    };
+
+    /**
+     * ENQCMD under @p policy. @p status is the last portal outcome:
+     * Accepted, Rejected (disabled device, injected drop; the record
+     * already carries the cause, and retrying can never succeed) or
+     * Retry (the bound ran out with the SWQ still full; the caller
+     * decides: fall back to CPU, fail the request). Each
+     * resubmission bumps @p retries, if given, as it happens.
      */
     CoTask
     enqcmd(DsaDevice &dev, WorkQueue &wq, WorkDescriptor d,
-           bool &accepted)
-    {
-        DsaDevice::SubmitStatus st;
-        co_await enqcmdStatus(dev, wq, d, st);
-        accepted = st == DsaDevice::SubmitStatus::Accepted;
-    }
-
-    /**
-     * ENQCMD, retrying immediately until the SWQ accepts the
-     * descriptor. This is the paper's measured contention behavior
-     * (Fig. 9) — calibration depends on its timing, so it stays
-     * unbounded and backoff-free. A Rejected descriptor (disabled
-     * device, injected drop) terminates the loop: retrying it can
-     * never succeed and its completion record already has the cause.
-     */
-    CoTask
-    enqcmdRetry(DsaDevice &dev, WorkQueue &wq, WorkDescriptor d)
-    {
-        for (;;) {
-            DsaDevice::SubmitStatus st;
-            co_await enqcmdStatus(dev, wq, d, st);
-            if (st != DsaDevice::SubmitStatus::Retry)
-                co_return;
-        }
-    }
-
-    /**
-     * ENQCMD with bounded exponential backoff: on Retry the core
-     * pauses @p backoff_base, doubling up to @p backoff_cap, for at
-     * most @p max_retries resubmissions. The pause is accounted as
-     * backoff (not busy) time — the core could run other work.
-     * @p accepted is false if the WQ stayed full through the last
-     * retry (caller decides: fall back to CPU, fail the request) or
-     * if the portal rejected the descriptor outright.
-     */
-    CoTask
-    enqcmdBackoff(DsaDevice &dev, WorkQueue &wq, WorkDescriptor d,
-                  bool &accepted, unsigned max_retries,
-                  Tick backoff_base, Tick backoff_cap)
+           RetryPolicy policy, DsaDevice::SubmitStatus &status,
+           std::uint64_t *retries = nullptr)
     {
         Simulation &sim = core_.simulation();
-        accepted = false;
-        Tick pause = backoff_base;
+        Tick pause = policy.backoffBase;
         for (unsigned attempt = 0;; ++attempt) {
-            DsaDevice::SubmitStatus st;
-            co_await enqcmdStatus(dev, wq, d, st);
-            if (st == DsaDevice::SubmitStatus::Accepted) {
-                accepted = true;
+            co_await enqcmdStatus(dev, wq, d, status);
+            if (status != DsaDevice::SubmitStatus::Retry)
                 co_return;
+            if (policy.maxRetries && attempt >= *policy.maxRetries)
+                co_return;
+            if (retries)
+                ++*retries;
+            if (!policy.maxRetries)
+                continue;
+            Tick jittered = pause;
+            if (policy.jitter) {
+                const double u =
+                    policy.jitter->uniformAt(policy.jitterBase + attempt);
+                jittered -= static_cast<Tick>(policy.jitterFraction * u *
+                                              static_cast<double>(pause));
             }
-            if (st == DsaDevice::SubmitStatus::Rejected)
-                co_return;
-            if (attempt >= max_retries) {
-                ++backoffGiveUps;
-                co_return;
-            }
-            ++backoffRetries;
-            core_.cycleAccount().charge("enqcmd-backoff", pause);
-            co_await sim.delay(pause);
-            pause = std::min(pause * 2, backoff_cap);
+            core_.cycleAccount().charge("enqcmd-backoff", jittered);
+            co_await sim.delay(std::max<Tick>(1, jittered));
+            pause = std::min(pause * 2, policy.backoffCap);
         }
     }
-
-    /// @name Backoff statistics.
-    /// @{
-    std::uint64_t backoffRetries = 0;
-    std::uint64_t backoffGiveUps = 0;
-    /// @}
 
     /**
      * UMONITOR + UMWAIT on the completion record. The waited time is

@@ -138,43 +138,6 @@ TEST(Idxd, ReadBufferAllocationValidated)
     EXPECT_EQ(dev.group(0).readBuffers, 64u);
 }
 
-
-TEST(Platform, DumpStatsSummarizesActivity)
-{
-    Bench b;
-    DsaTopology::basic().apply(b.plat.dsa(0));
-    dml::ExecutorConfig ec;
-    ec.path = dml::Path::Hardware;
-    dml::Executor exec(b.sim, b.plat.mem(), b.plat.kernels(),
-                       {&b.plat.dsa(0)}, ec);
-    Addr src = b.as->alloc(64 << 10);
-    Addr dst = b.as->alloc(64 << 10);
-    struct Drv
-    {
-        static SimTask
-        go(Bench &bb, dml::Executor &ex, Addr s, Addr d)
-        {
-            dml::OpResult r;
-            co_await ex.executeHardware(
-                bb.plat.core(0),
-                dml::Executor::memMove(*bb.as, d, s, 64 << 10), r);
-        }
-    };
-    Drv::go(b, exec, src, dst);
-    b.sim.run();
-
-    char buf[8192] = {};
-    std::FILE *mem = fmemopen(buf, sizeof(buf), "w");
-    ASSERT_NE(mem, nullptr);
-    b.plat.dumpStats(mem);
-    std::fclose(mem);
-    std::string out(buf);
-    EXPECT_NE(out.find("core0"), std::string::npos);
-    EXPECT_NE(out.find("dsa0"), std::string::npos);
-    EXPECT_NE(out.find("DRAM-local"), std::string::npos);
-    EXPECT_NE(out.find("events executed"), std::string::npos);
-}
-
 TEST(Submitter, MovdirIsPostedEnqcmdIsNot)
 {
     Bench b;
@@ -221,19 +184,19 @@ TEST(Submitter, EnqcmdBlocksForRoundTrip)
     {
         static SimTask
         go(Bench &bb, Submitter &s, WorkDescriptor wd, Tick &cost,
-           bool &acc)
+           DsaDevice::SubmitStatus &st)
         {
             Tick t0 = bb.sim.now();
-            co_await s.enqcmd(bb.plat.dsa(0), bb.plat.dsa(0).wq(0),
-                              wd, acc);
+            co_await s.enqcmdStatus(bb.plat.dsa(0),
+                                    bb.plat.dsa(0).wq(0), wd, st);
             cost = bb.sim.now() - t0;
         }
     };
     Tick cost = 0;
-    bool accepted = false;
-    Drv::go(b, sub, d, cost, accepted);
+    DsaDevice::SubmitStatus st{};
+    Drv::go(b, sub, d, cost, st);
     b.sim.run();
-    EXPECT_TRUE(accepted);
+    EXPECT_EQ(st, DsaDevice::SubmitStatus::Accepted);
     EXPECT_EQ(cost, b.plat.dsa(0).params().enqcmdRoundTrip);
 }
 

@@ -414,13 +414,16 @@ TEST(DsaSubmission, SwqRetryWhenFull)
                 *db.as, d + 2 * len, s + 2 * len, len);
             w3.completion = &cr3;
 
-            bool a1 = false, a2 = false, a3 = false;
-            co_await sub.enqcmd(db.plat.dsa(0), wq, w1, a1);
-            co_await sub.enqcmd(db.plat.dsa(0), wq, w2, a2);
-            co_await sub.enqcmd(db.plat.dsa(0), wq, w3, a3);
+            using St = DsaDevice::SubmitStatus;
+            St s1{}, s2{}, s3{};
+            co_await sub.enqcmdStatus(db.plat.dsa(0), wq, w1, s1);
+            co_await sub.enqcmdStatus(db.plat.dsa(0), wq, w2, s2);
+            co_await sub.enqcmdStatus(db.plat.dsa(0), wq, w3, s3);
             // First lands; with a 1-entry SWQ and a 1 MB transfer in
             // flight, at least one of the next two gets Retry.
-            rets = (a1 ? 0 : 1) + (a2 ? 0 : 1) + (a3 ? 0 : 1);
+            rets = (s1 == St::Accepted ? 0 : 1) +
+                   (s2 == St::Accepted ? 0 : 1) +
+                   (s3 == St::Accepted ? 0 : 1);
             co_await sub.umwait(cr1);
         }
     };

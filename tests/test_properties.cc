@@ -13,6 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
+
 #include "ops/crc32.hh"
 #include "tests/util.hh"
 
@@ -29,6 +33,24 @@ struct HwSwCase
     std::uint64_t size;
     std::uint64_t srcSkew; ///< bytes of deliberate misalignment
 };
+
+/**
+ * gtest's fallback byte dump of the case, taken from a zeroed copy.
+ * ctest names embed this text; dumping the case itself would print
+ * the uninitialised padding after `op` and rename the tests from
+ * build to build.
+ */
+void
+PrintTo(const HwSwCase &c, std::ostream *os)
+{
+    unsigned char bytes[sizeof(HwSwCase)] = {};
+    std::memcpy(bytes + offsetof(HwSwCase, op), &c.op, sizeof c.op);
+    std::memcpy(bytes + offsetof(HwSwCase, size), &c.size,
+                sizeof c.size);
+    std::memcpy(bytes + offsetof(HwSwCase, srcSkew), &c.srcSkew,
+                sizeof c.srcSkew);
+    ::testing::internal::PrintBytesInObjectTo(bytes, sizeof bytes, os);
+}
 
 std::string
 caseName(const ::testing::TestParamInfo<HwSwCase> &info)

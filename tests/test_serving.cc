@@ -13,7 +13,8 @@
  *    neighbor's budget);
  *  - CircuitBreaker: closed -> open -> half-open -> closed walk;
  *  - ServingNode: bounded ENQCMD backoff exhaustion degrades to the
- *    CPU path with zero hangs; pasid-scoped fault injection stays
+ *    CPU path with zero hangs; an engine hang ends in CPU fallback
+ *    through the executor's watchdog; pasid-scoped fault injection stays
  *    inside the targeted tenant's blast radius; the whole ladder is
  *    bit-identical at 1 vs 4 worker threads mid-overload;
  *  - MiniCache as a tenant workload, with its op counters.
@@ -235,10 +236,9 @@ TEST(CircuitBreaker, OpenHalfOpenCloseWalk)
 /** Shared-WQ platform + executor for ServingNode tests. */
 struct ServBench : Bench
 {
-    ServBench()
+    explicit ServBench(dml::ExecutorConfig ec = {})
     {
         DsaTopology::basic(32, 2, WorkQueue::Mode::Shared).apply(plat.dsa(0));
-        dml::ExecutorConfig ec;
         ec.path = dml::Path::Hardware;
         exec = std::make_unique<dml::Executor>(
             sim, plat.mem(), plat.kernels(),
@@ -297,6 +297,37 @@ TEST(Serving, BackoffExhaustionDegradesToCpuWithZeroHangs)
     EXPECT_EQ(sess.stats.retries, (requests - 1) * sc.maxRetries);
     EXPECT_EQ(sess.stats.fallbacks, requests - 1);
     EXPECT_EQ(sess.stats.dropped, 0u);
+}
+
+TEST(Serving, EngineHangEndsInCpuFallbackThroughExecutorWatchdog)
+{
+    // The ladder waits through its executor, so the executor's
+    // watchdog is what unwedges a request whose engine hangs.
+    dml::ExecutorConfig ec;
+    ec.watchdogTimeout = fromUs(50);
+    ec.watchdogGrace = fromUs(50);
+    ServBench b(ec);
+    b.plat.setFaultInjector(FaultInjector::fromSpec("hang:every=1", 1));
+    dml::ServingNode node(b.sim, *b.exec);
+    dml::TenantSession &sess = b.addTenant(node);
+
+    struct Drv
+    {
+        static SimTask
+        go(dml::ServingNode &n, dml::TenantSession &t)
+        {
+            co_await n.serve(t, 0);
+        }
+    };
+    Drv::go(node, sess);
+    b.sim.run();
+
+    EXPECT_EQ(sess.stats.completed(), 1u);
+    EXPECT_EQ(sess.stats.hwAccepted, 1u);
+    EXPECT_EQ(sess.stats.hwErrors, 1u); // the Aborted completion
+    EXPECT_EQ(sess.stats.fallbacks, 1u);
+    EXPECT_EQ(b.exec->watchdogFires, 1u);
+    EXPECT_EQ(b.exec->watchdogForced, 0u); // abortHung released it
 }
 
 TEST(Serving, PasidFaultStaysInsideTheTargetBlastRadius)

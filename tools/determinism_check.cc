@@ -164,12 +164,14 @@ driver(Platform &plat, dml::Executor &exec, AddressSpace &as,
 }
 
 std::unique_ptr<dml::Executor>
-hwExecutor(Simulation &sim, Platform &p, Tick watchdog = fromUs(500))
+hwExecutor(Simulation &sim, Platform &p,
+           Tick grace = dml::ExecutorConfig{}.watchdogGrace)
 {
     return std::make_unique<dml::Executor>(
         sim, p.mem(), p.kernels(), std::vector<DsaDevice *>{&p.dsa(0)},
         dml::ExecutorConfig{.path = dml::Path::Hardware,
-                            .watchdogTimeout = watchdog});
+                            .watchdogTimeout = fromUs(500),
+                            .watchdogGrace = grace});
 }
 
 /** A fresh space holding a source and a destination buffer, equal. */
@@ -302,7 +304,6 @@ servingRun(const Options &opt, unsigned threads)
     const dml::ServingConfig sc{
         .maxRetries = 4, .backoffBase = fromNs(200),
         .backoffCap = fromUs(2), .outstandingCap = 12,
-        .watchdogTimeout = fromUs(500),
         .breaker = {.window = 16, .cooldown = fromUs(150)},
         .seed = opt.seed};
     std::vector<std::unique_ptr<dml::Executor>> execs;
@@ -312,7 +313,8 @@ servingRun(const Options &opt, unsigned threads)
     for (unsigned s = 0; s < cl.socketCount(); ++s) {
         Platform &p = cl.plat(s);
         inject(p, opt, opt.seed + s);
-        execs.push_back(hwExecutor(cl.domainSim(s), p, /*watchdog=*/0));
+        execs.push_back(hwExecutor(cl.domainSim(s), p,
+                                   /*grace=*/fromUs(50)));
         nodes.emplace_back(cl.domainSim(s), *execs.back(), sc);
         admission.emplace_back(WqAdmission::Config{.bucket = {3000, 8}});
         p.dsa(0).installAdmission(0, &admission.back());
