@@ -288,6 +288,27 @@ BM_CacheAccess(benchmark::State &state)
 BENCHMARK(BM_CacheAccess);
 
 void
+BM_CacheSpan(benchmark::State &state)
+{
+    // The engine's span walk on a full default-geometry LLC (105 MB,
+    // 15 ways, 2 DDIO ways): probe then DDIO-fill one 4 KiB span
+    // drawn from a window 4x the cache, so every set stays full.
+    CacheModel c{CacheModel::Config{}};
+    for (Addr a = 0; a < c.sizeBytes(); a += cacheLineSize)
+        c.cpuAccess(a, 0, true);
+    const std::uint64_t span = 4096;
+    const std::uint64_t pages = 4 * c.sizeBytes() / span;
+    Rng rng(1);
+    for (auto _ : state) {
+        Addr a = rng.range(0, pages - 1) * span;
+        benchmark::DoNotOptimize(c.probeSpan(a, span).hitBytes);
+        benchmark::DoNotOptimize(c.fillSpan(a, span, 1000).missBytes);
+    }
+    state.SetBytesProcessed(state.iterations() * span);
+}
+BENCHMARK(BM_CacheSpan);
+
+void
 BM_Crc32c(benchmark::State &state)
 {
     std::vector<std::uint8_t> buf(

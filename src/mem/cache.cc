@@ -39,40 +39,25 @@ CacheModel::CacheModel(const Config &cfg)
     std::uint64_t line_count = cfg.sizeBytes / cacheLineSize;
     sets = static_cast<unsigned>(line_count / cfg.ways);
     fatal_if(sets == 0, "LLC too small for %u ways", cfg.ways);
-    lines.resize(static_cast<std::size_t>(sets) * cfg.ways);
+    // Never zeroed: a clear presence bit means the entry is not read.
+    const std::size_t n = static_cast<std::size_t>(sets) * cfg.ways;
+    tags = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+    lastUse = std::make_unique_for_overwrite<std::uint64_t[]>(n);
+    owners = std::make_unique_for_overwrite<int[]>(n);
     setMeta.resize(sets);
 }
 
-CacheModel::Line *
-CacheModel::find(Addr pa)
+unsigned
+CacheModel::findWay(std::size_t set, std::uint64_t mask,
+                    std::uint64_t tag) const
 {
-    std::uint64_t tag = tagOf(pa);
-    Line *set = &lines[setIndex(pa) * config.ways];
-    for (unsigned w = 0; w < config.ways; ++w) {
-        if (lineValid(set[w]) && set[w].tag == tag)
-            return &set[w];
+    const std::uint64_t *row = &tags[at(set, 0)];
+    for (std::uint64_t m = mask; m; m &= m - 1) {
+        const auto w = static_cast<unsigned>(std::countr_zero(m));
+        if (row[w] == tag)
+            return w;
     }
-    return nullptr;
-}
-
-const CacheModel::Line *
-CacheModel::findConst(Addr pa) const
-{
-    std::uint64_t tag = tagOf(pa);
-    const Line *set = &lines[setIndex(pa) * config.ways];
-    for (unsigned w = 0; w < config.ways; ++w) {
-        if (lineValid(set[w]) && set[w].tag == tag)
-            return &set[w];
-    }
-    return nullptr;
-}
-
-CacheModel::Line &
-CacheModel::victim(Addr pa, unsigned way_lo, unsigned way_hi)
-{
-    std::size_t set = static_cast<std::size_t>(setIndex(pa));
-    return victimInSet(&lines[set * config.ways], maskFor(set),
-                       way_lo, way_hi);
+    return noWay;
 }
 
 /**
@@ -82,88 +67,92 @@ CacheModel::victim(Addr pa, unsigned way_lo, unsigned way_hi)
  * the device-churned partition. With no free way, evict the LRU line
  * (use-clock values are unique, so the minimum is unambiguous).
  */
-CacheModel::Line &
-CacheModel::victimInSet(Line *set, std::uint64_t mask,
-                        unsigned way_lo, unsigned way_hi)
+unsigned
+CacheModel::victimWay(std::size_t set, std::uint64_t mask,
+                      unsigned way_lo, unsigned way_hi) const
 {
     const std::uint64_t hi_mask =
         way_hi >= 64 ? ~0ull : (1ull << way_hi) - 1;
     const std::uint64_t range = hi_mask & ~((1ull << way_lo) - 1);
-    if (std::uint64_t free = ~mask & range) {
-        unsigned w = 63 - static_cast<unsigned>(
-            std::countl_zero(free));
-        // Stale-epoch reclaim goes through dropLine so the occupancy
-        // gauges and presence mask can never drift out of sync with
-        // the directory.
-        dropLine(set[w]);
-        return set[w];
+    if (std::uint64_t free = ~mask & range)
+        return 63 - static_cast<unsigned>(std::countl_zero(free));
+    const std::uint64_t *row = &lastUse[at(set, 0)];
+    unsigned best = way_lo;
+    for (unsigned w = way_lo + 1; w < way_hi; ++w) {
+        if (row[w] < row[best])
+            best = w;
     }
-    Line *best = &set[way_lo];
-    for (unsigned i = way_lo + 1; i < way_hi; ++i) {
-        if (set[i].lastUse < best->lastUse)
-            best = &set[i];
-    }
-    return *best;
+    return best;
 }
 
 void
-CacheModel::dropLine(Line &line)
+CacheModel::countOwner(int owner)
 {
-    if (!line.valid)
-        return;
-    // A raw-valid line from a pre-invalidateAll epoch was already
-    // removed from the gauges (and its set mask) by the epoch bump;
-    // only clear the valid bit so the way reads as free.
-    const bool counted = line.epoch == flushEpoch;
-    line.valid = false;
-    if (!counted)
-        return;
-    const std::size_t idx =
-        static_cast<std::size_t>(&line - lines.data());
-    maskFor(idx / config.ways) &=
-        ~(1ull << (idx % config.ways));
+    panic_if(owner < 0, "negative cache owner id %d", owner);
+    const auto i = static_cast<std::size_t>(owner);
+    if (i >= ownerLines.size())
+        ownerLines.resize(i + 1, 0);
+    ++ownerLines[i];
+}
+
+void
+CacheModel::uncountOwner(int owner)
+{
+    const auto i = static_cast<std::size_t>(owner);
+    panic_if(i >= ownerLines.size() || ownerLines[i] == 0,
+             "owner occupancy underflow (owner=%d)", owner);
+    --ownerLines[i];
+}
+
+void
+CacheModel::dropLine(std::size_t set, unsigned w)
+{
+    SetMeta &m = setMeta[set];
+    const std::uint64_t bit = 1ull << w;
+    m.mask &= ~bit;
+    m.dirty &= ~bit;
     --validLines;
-    auto it = ownerLines.find(line.owner);
-    panic_if(it == ownerLines.end() || it->second == 0,
-             "owner occupancy underflow (owner=%d)", line.owner);
-    --it->second;
+    uncountOwner(owners[at(set, w)]);
 }
 
 void
-CacheModel::installLine(Line &line, Addr pa, int owner, bool dirty,
-                        AccessResult &result)
+CacheModel::installLine(std::size_t set, unsigned w, std::uint64_t tag,
+                        int owner, bool dirty, AccessResult &result)
 {
-    if (line.valid) {
-        result.evictedOther = line.owner != owner;
-        result.evictedDirty = line.dirty;
-        result.evictedPa = line.tag << 6;
-        dropLine(line);
+    SetMeta &m = metaFor(set);
+    const std::uint64_t bit = 1ull << w;
+    const std::size_t i = at(set, w);
+    if (m.mask & bit) {
+        result.evictedOther = owners[i] != owner;
+        result.evictedDirty = (m.dirty & bit) != 0;
+        result.evictedPa = tags[i] << 6;
+        dropLine(set, w);
     }
-    line.valid = true;
-    line.epoch = flushEpoch;
-    line.dirty = dirty;
-    line.tag = tagOf(pa);
-    line.owner = owner;
-    line.lastUse = ++useClock;
-    const std::size_t idx =
-        static_cast<std::size_t>(&line - lines.data());
-    maskFor(idx / config.ways) |= 1ull << (idx % config.ways);
+    tags[i] = tag;
+    owners[i] = owner;
+    lastUse[i] = ++useClock;
+    m.mask |= bit;
+    if (dirty)
+        m.dirty |= bit;
     ++validLines;
-    ++ownerLines[owner];
+    countOwner(owner);
     result.allocated = true;
 }
 
 void
-CacheModel::retagOwner(Line &l, int owner)
+CacheModel::touchLine(std::size_t set, unsigned w, int owner,
+                      bool dirty)
 {
+    const std::size_t i = at(set, w);
+    lastUse[i] = ++useClock;
+    if (dirty)
+        setMeta[set].dirty |= 1ull << w;
     // Occupancy follows the most recent toucher, as CMT's RMID
     // accounting effectively does for shared lines.
-    if (l.owner != owner) {
-        auto it = ownerLines.find(l.owner);
-        if (it != ownerLines.end() && it->second > 0)
-            --it->second;
-        l.owner = owner;
-        ++ownerLines[owner];
+    if (owners[i] != owner) {
+        uncountOwner(owners[i]);
+        countOwner(owner);
+        owners[i] = owner;
     }
 }
 
@@ -171,16 +160,18 @@ CacheModel::AccessResult
 CacheModel::cpuAccess(Addr pa, int owner, bool is_write)
 {
     AccessResult result;
-    if (Line *l = find(pa)) {
+    const std::uint64_t tag = tagOf(pa);
+    const std::size_t set = setIndex(pa);
+    const std::uint64_t mask = metaFor(set).mask;
+    if (unsigned w = findWay(set, mask, tag); w != noWay) {
         result.hit = true;
         hitBytesTally += cacheLineSize;
-        l->lastUse = ++useClock;
-        l->dirty = l->dirty || is_write;
-        retagOwner(*l, owner);
+        touchLine(set, w, owner, is_write);
         return result;
     }
     missBytesTally += cacheLineSize;
-    installLine(victim(pa, 0, config.ways), pa, owner, is_write, result);
+    installLine(set, victimWay(set, mask, 0, config.ways), tag, owner,
+                is_write, result);
     if (result.evictedDirty)
         writebackBytesTally += cacheLineSize;
     return result;
@@ -190,10 +181,11 @@ CacheModel::AccessResult
 CacheModel::deviceRead(Addr pa)
 {
     AccessResult result;
-    if (Line *l = find(pa)) {
+    const std::size_t set = setIndex(pa);
+    if (unsigned w = findWay(set, maskOf(set), tagOf(pa)); w != noWay) {
         result.hit = true;
         hitBytesTally += cacheLineSize;
-        l->lastUse = ++useClock;
+        lastUse[at(set, w)] = ++useClock;
     } else {
         missBytesTally += cacheLineSize;
     }
@@ -204,25 +196,27 @@ CacheModel::AccessResult
 CacheModel::deviceWrite(Addr pa, int owner, bool alloc_hint)
 {
     AccessResult result;
+    const std::uint64_t tag = tagOf(pa);
+    const std::size_t set = setIndex(pa);
+    const std::uint64_t mask = metaFor(set).mask;
+    const unsigned w = findWay(set, mask, tag);
     if (!alloc_hint) {
         // Non-allocating write: update memory, invalidate any copy.
-        if (Line *l = find(pa)) {
-            dropLine(*l);
-        }
+        if (w != noWay)
+            dropLine(set, w);
         return result;
     }
-    if (Line *l = find(pa)) {
+    if (w != noWay) {
         result.hit = true;
         hitBytesTally += cacheLineSize;
-        l->lastUse = ++useClock;
-        l->dirty = true;
-        retagOwner(*l, owner);
+        touchLine(set, w, owner, true);
         return result;
     }
     // DDIO-style allocating write: restricted to the DDIO ways.
     missBytesTally += cacheLineSize;
     unsigned hi = config.ddioWays > 0 ? config.ddioWays : config.ways;
-    installLine(victim(pa, 0, hi), pa, owner, true, result);
+    installLine(set, victimWay(set, mask, 0, hi), tag, owner, true,
+                result);
     if (result.evictedDirty)
         writebackBytesTally += cacheLineSize;
     return result;
@@ -248,20 +242,13 @@ CacheModel::probeSpan(Addr pa, std::uint64_t size)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        bool hit = false;
-        if (mask) {
-            Line *s = &lines[set * config.ways];
-            for (std::uint64_t m = mask; m; m &= m - 1) {
-                Line &l = s[std::countr_zero(m)];
-                if (l.tag == tag) {
-                    l.lastUse = ++useClock;
-                    hit = true;
-                    break;
-                }
-            }
+        const unsigned w = findWay(set, maskOf(set), tag);
+        if (w != noWay) {
+            lastUse[at(set, w)] = ++useClock;
+            r.hitBytes += cacheLineSize;
+        } else {
+            r.missBytes += cacheLineSize;
         }
-        (hit ? r.hitBytes : r.missBytes) += cacheLineSize;
         if (++set == sets)
             set = 0;
     }
@@ -297,25 +284,14 @@ CacheModel::fillSpan(Addr pa, std::uint64_t size, int owner)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        Line *s = &lines[set * config.ways];
-        Line *hit = nullptr;
-        for (std::uint64_t m = mask; m; m &= m - 1) {
-            Line &l = s[std::countr_zero(m)];
-            if (l.tag == tag) {
-                hit = &l;
-                break;
-            }
-        }
-        if (hit) {
+        const std::uint64_t mask = metaFor(set).mask;
+        if (unsigned w = findWay(set, mask, tag); w != noWay) {
             r.hitBytes += cacheLineSize;
-            hit->lastUse = ++useClock;
-            hit->dirty = true;
-            retagOwner(*hit, owner);
+            touchLine(set, w, owner, true);
         } else {
             r.missBytes += cacheLineSize;
             AccessResult res;
-            installLine(victimInSet(s, mask, 0, hi), tag << 6, owner,
+            installLine(set, victimWay(set, mask, 0, hi), tag, owner,
                         true, res);
             if (res.evictedDirty) {
                 r.writebackBytes += cacheLineSize;
@@ -347,17 +323,8 @@ CacheModel::evictSpan(Addr pa, std::uint64_t size)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        if (mask) {
-            Line *s = &lines[set * config.ways];
-            for (std::uint64_t m = mask; m; m &= m - 1) {
-                Line &l = s[std::countr_zero(m)];
-                if (l.tag == tag) {
-                    dropLine(l);
-                    break;
-                }
-            }
-        }
+        if (unsigned w = findWay(set, maskOf(set), tag); w != noWay)
+            dropLine(set, w);
         if (++set == sets)
             set = 0;
     }
@@ -382,18 +349,10 @@ CacheModel::flushSpan(Addr pa, std::uint64_t size)
     std::uint64_t tag = tagOf(pa);
     std::size_t set = static_cast<std::size_t>(tag % sets);
     for (std::uint64_t i = 0; i < n; ++i, ++tag) {
-        const std::uint64_t mask = maskFor(set);
-        if (mask) {
-            Line *s = &lines[set * config.ways];
-            for (std::uint64_t m = mask; m; m &= m - 1) {
-                Line &l = s[std::countr_zero(m)];
-                if (l.tag == tag) {
-                    if (l.dirty)
-                        r.writebackBytes += cacheLineSize;
-                    dropLine(l);
-                    break;
-                }
-            }
+        if (unsigned w = findWay(set, maskOf(set), tag); w != noWay) {
+            if (setMeta[set].dirty & (1ull << w))
+                r.writebackBytes += cacheLineSize;
+            dropLine(set, w);
         }
         if (++set == sets)
             set = 0;
@@ -405,27 +364,30 @@ CacheModel::flushSpan(Addr pa, std::uint64_t size)
 bool
 CacheModel::probe(Addr pa) const
 {
-    return findConst(pa) != nullptr;
+    const std::size_t set = setIndex(pa);
+    return findWay(set, maskOf(set), tagOf(pa)) != noWay;
 }
 
 void
 CacheModel::invalidate(Addr pa)
 {
-    if (Line *l = find(pa))
-        dropLine(*l);
+    const std::size_t set = setIndex(pa);
+    if (unsigned w = findWay(set, maskOf(set), tagOf(pa)); w != noWay)
+        dropLine(set, w);
 }
 
 bool
 CacheModel::flushLine(Addr pa)
 {
-    if (Line *l = find(pa)) {
-        bool was_dirty = l->dirty;
-        if (was_dirty)
-            writebackBytesTally += cacheLineSize;
-        dropLine(*l);
-        return was_dirty;
-    }
-    return false;
+    const std::size_t set = setIndex(pa);
+    const unsigned w = findWay(set, maskOf(set), tagOf(pa));
+    if (w == noWay)
+        return false;
+    const bool was_dirty = setMeta[set].dirty & (1ull << w);
+    if (was_dirty)
+        writebackBytesTally += cacheLineSize;
+    dropLine(set, w);
+    return was_dirty;
 }
 
 void
@@ -437,8 +399,7 @@ CacheModel::flushRange(Addr addr, std::uint64_t size)
 void
 CacheModel::invalidateAll()
 {
-    // Epoch bump: every line's epoch — and every set's presence
-    // mask — goes stale in O(1).
+    // Epoch bump: every set's masks go stale in O(1).
     ++flushEpoch;
     validLines = 0;
     ownerLines.clear();
@@ -453,9 +414,20 @@ CacheModel::saveState() const
     st.missBytes = missBytesTally;
     st.writebackBytes = writebackBytesTally;
     st.validLines.reserve(validLines);
-    for (std::uint64_t i = 0; i < lines.size(); ++i) {
-        if (lineValid(lines[i]))
-            st.validLines.emplace_back(i, lines[i]);
+    for (std::size_t set = 0; set < sets; ++set) {
+        const std::uint64_t mask = maskOf(set);
+        for (std::uint64_t m = mask; m; m &= m - 1) {
+            const auto w = static_cast<unsigned>(std::countr_zero(m));
+            const std::size_t i = at(set, w);
+            Line l;
+            l.tag = tags[i];
+            l.lastUse = lastUse[i];
+            l.epoch = flushEpoch;
+            l.owner = owners[i];
+            l.valid = true;
+            l.dirty = (setMeta[set].dirty & (1ull << w)) != 0;
+            st.validLines.emplace_back(i, l);
+        }
     }
     return st;
 }
@@ -463,7 +435,6 @@ CacheModel::saveState() const
 void
 CacheModel::restoreState(const State &st)
 {
-    std::fill(lines.begin(), lines.end(), Line{});
     std::fill(setMeta.begin(), setMeta.end(), SetMeta{});
     ownerLines.clear();
     flushEpoch = 0;
@@ -472,17 +443,23 @@ CacheModel::restoreState(const State &st)
     missBytesTally = st.missBytes;
     writebackBytesTally = st.writebackBytes;
     validLines = st.validLines.size();
+    const std::uint64_t capacity =
+        static_cast<std::uint64_t>(sets) * config.ways;
     for (const auto &[idx, saved] : st.validLines) {
-        panic_if(idx >= lines.size(),
+        panic_if(idx >= capacity,
                  "CacheModel::restoreState: line index %llu out of "
                  "range — geometry mismatch with snapshot",
                  static_cast<unsigned long long>(idx));
-        Line &l = lines[idx];
-        l = saved;
-        l.epoch = flushEpoch;
-        setMeta[idx / config.ways].mask |=
-            1ull << (idx % config.ways);
-        ++ownerLines[l.owner];
+        const auto i = static_cast<std::size_t>(idx);
+        tags[i] = saved.tag;
+        lastUse[i] = saved.lastUse;
+        owners[i] = saved.owner;
+        SetMeta &m = setMeta[i / config.ways];
+        const std::uint64_t bit = 1ull << (i % config.ways);
+        m.mask |= bit;
+        if (saved.dirty)
+            m.dirty |= bit;
+        countOwner(saved.owner);
     }
 }
 

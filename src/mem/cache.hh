@@ -14,6 +14,14 @@
  * This single rule produces both the cache-pollution immunity
  * (Fig. 12/13) and the "leaky DMA" throughput cliff (Fig. 10).
  *
+ * The directory is a structure of arrays (DESIGN.md §13): per-line
+ * tags, LRU stamps and owners in three `sets × ways` row-major arrays,
+ * and per set a presence mask plus a dirty mask. The presence mask is
+ * the only validity record, so every tag match walks the mask bits
+ * over one contiguous tag row, and the arrays are never zeroed — an
+ * entry whose mask bit is clear is never read. Construction and
+ * restoreState() cost O(sets + valid lines), not O(capacity).
+ *
  * Device-side streaming traffic uses the span API (probeSpan /
  * fillSpan / evictSpan / flushSpan): one call covers every line a
  * physically contiguous run touches and returns aggregate byte
@@ -23,14 +31,15 @@
  * lines in the same (ascending-address) order, makes the identical
  * victim choice per set, and assigns the same LRU clock values — and
  * the scalar loop stays alive behind `DSASIM_CACHE_ACCT=line` as the
- * oracle a differential harness checks it against (DESIGN.md §13).
+ * oracle a differential harness checks it against; a mask-free
+ * reference model in the tests checks both (DESIGN.md §13).
  */
 
 #ifndef DSASIM_MEM_CACHE_HH
 #define DSASIM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "mem/types.hh"
@@ -161,10 +170,10 @@ class CacheModel
     std::uint64_t
     occupancyBytes(int owner) const
     {
-        auto it = ownerLines.find(owner);
-        return it == ownerLines.end()
-            ? 0
-            : it->second * cacheLineSize;
+        const auto i = static_cast<std::size_t>(owner);
+        return owner >= 0 && i < ownerLines.size()
+            ? ownerLines[i] * cacheLineSize
+            : 0;
     }
 
     /** Bytes currently valid across all owners. */
@@ -197,7 +206,11 @@ class CacheModel
     }
     /// @}
 
-    /** Directory line; public only for Checkpointable::State. */
+    /**
+     * One directory line as a checkpoint record; public only for
+     * Checkpointable::State. The live directory keeps these fields in
+     * separate arrays and set masks.
+     */
     struct Line
     {
         std::uint64_t tag = 0;
@@ -212,9 +225,9 @@ class CacheModel
      * Checkpointable (sim/checkpoint.hh): the currently-valid lines,
      * stored sparsely as (way index, line) pairs — O(occupied), not
      * O(capacity) — plus the LRU use clock they are ordered by.
-     * Epoch-stale lines restore as free ways, which victim() treats
-     * identically to stale-epoch lines, so replacement decisions are
-     * unchanged. Occupancy accounting is rebuilt from the lines.
+     * Epoch-stale lines are not saved and restore as free ways, so
+     * replacement decisions are unchanged. Set masks and occupancy
+     * accounting are rebuilt from the lines.
      */
     struct State
     {
@@ -231,51 +244,63 @@ class CacheModel
   private:
 
     /**
-     * Per-set presence bitmask (bit w <=> lineValid(set line w)),
-     * versioned by the same flush epoch as the lines so
-     * invalidateAll() stays O(1). A stale-epoch mask means the set
-     * holds no valid lines (any install refreshes the mask first),
-     * so normalization just zeroes it. The masks let the span walk
-     * visit only the occupied ways of a set — and skip empty sets
-     * with one load — instead of scanning all ways per line.
+     * Per-set presence and dirty bitmasks (bit w <=> way w holds a
+     * valid / a valid dirty line), versioned by the flush epoch so
+     * invalidateAll() stays O(1). A stale-epoch set holds no valid
+     * lines, so normalization just zeroes both masks. The presence
+     * mask is the only validity record: tags/lastUse/owners entries
+     * whose bit is clear are garbage and never read. dirty is always
+     * a subset of mask.
      */
     struct SetMeta
     {
         std::uint64_t mask = 0;
+        std::uint64_t dirty = 0;
         std::uint64_t epoch = 0;
     };
 
-    /** Valid under the current flush epoch (invalidateAll is O(1)). */
-    bool
-    lineValid(const Line &l) const
-    {
-        return l.valid && l.epoch == flushEpoch;
-    }
+    /** No way of the set holds the tag. */
+    static constexpr unsigned noWay = ~0u;
 
-    /** The set's presence mask, normalized to the current epoch. */
-    std::uint64_t &
-    maskFor(std::size_t set)
+    /** The set's masks, normalized to the current epoch. */
+    SetMeta &
+    metaFor(std::size_t set)
     {
         SetMeta &m = setMeta[set];
-        if (m.epoch != flushEpoch) {
-            m.mask = 0;
-            m.epoch = flushEpoch;
-        }
-        return m.mask;
+        if (m.epoch != flushEpoch)
+            m = SetMeta{0, 0, flushEpoch};
+        return m;
     }
 
-    Line *find(Addr pa);
-    const Line *findConst(Addr pa) const;
-    /** Pick the LRU way in [way_lo, way_hi) of the set holding pa. */
-    Line &victim(Addr pa, unsigned way_lo, unsigned way_hi);
-    /** Same choice as victim(), given the set base and its mask. */
-    Line &victimInSet(Line *set, std::uint64_t mask, unsigned way_lo,
-                      unsigned way_hi);
-    void installLine(Line &line, Addr pa, int owner, bool dirty,
-                     AccessResult &result);
-    void dropLine(Line &line);
-    /** Move a hit line's occupancy to its most recent toucher. */
-    void retagOwner(Line &l, int owner);
+    /** The set's presence mask under the current epoch (no update). */
+    std::uint64_t
+    maskOf(std::size_t set) const
+    {
+        const SetMeta &m = setMeta[set];
+        return m.epoch == flushEpoch ? m.mask : 0;
+    }
+
+    /** Row-major index of way @p w of @p set in the line arrays. */
+    std::size_t
+    at(std::size_t set, unsigned w) const
+    {
+        return set * config.ways + w;
+    }
+
+    /** Way of @p set whose tag is @p tag among @p mask, or noWay. */
+    unsigned findWay(std::size_t set, std::uint64_t mask,
+                     std::uint64_t tag) const;
+    /** Pick the LRU way in [way_lo, way_hi) of @p set. */
+    unsigned victimWay(std::size_t set, std::uint64_t mask,
+                       unsigned way_lo, unsigned way_hi) const;
+    /** Install @p tag into way @p w of @p set, evicting its line. */
+    void installLine(std::size_t set, unsigned w, std::uint64_t tag,
+                     int owner, bool dirty, AccessResult &result);
+    void dropLine(std::size_t set, unsigned w);
+    /** Refresh a hit line's LRU stamp, dirty bit and owner. */
+    void touchLine(std::size_t set, unsigned w, int owner, bool dirty);
+    void countOwner(int owner);
+    void uncountOwner(int owner);
 
     std::uint64_t setIndex(Addr pa) const { return (pa >> 6) % sets; }
     std::uint64_t tagOf(Addr pa) const { return pa >> 6; }
@@ -283,9 +308,13 @@ class CacheModel
     Config config;
     unsigned sets;
     AcctMode mode;
-    std::vector<Line> lines; // sets * ways, row-major by set
+    // sets * ways, row-major by set; allocated uninitialized.
+    std::unique_ptr<std::uint64_t[]> tags;
+    std::unique_ptr<std::uint64_t[]> lastUse;
+    std::unique_ptr<int[]> owners;
     std::vector<SetMeta> setMeta;
-    std::unordered_map<int, std::uint64_t> ownerLines;
+    /** Valid lines per owner id (cores 0..N, devices 1000+id). */
+    std::vector<std::uint64_t> ownerLines;
     std::uint64_t validLines = 0;
     std::uint64_t useClock = 0;
     std::uint64_t flushEpoch = 0;
